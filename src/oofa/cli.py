@@ -244,7 +244,11 @@ def _cmd_criteria(args: argparse.Namespace) -> None:
 
 def _cmd_design(args: argparse.Namespace) -> None:
     if args.seed is None:
-        args.seed = int(os.environ.get("OOFA_SEED", "0"))
+        env_seed = os.environ.get("OOFA_SEED", "0")
+        try:
+            args.seed = int(env_seed)
+        except ValueError:
+            raise ValidationError(f"OOFA_SEED must be an integer, got {env_seed!r}") from None
     _emit_config(
         args,
         ["m", "runs", "models", "criterion", "sigma2", "orth", "weights",

@@ -28,6 +28,7 @@ that smaller is better (the D-criterion enters through its reciprocal).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -68,8 +69,8 @@ class CriterionSpec:
     orthogonal_coding: bool = False
 
     def __post_init__(self) -> None:
-        if not self.sigma2 > 0:
-            raise ValidationError(f"sigma2 must be positive, got {self.sigma2!r}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValidationError(f"sigma2 must be finite and positive, got {self.sigma2!r}")
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,29 @@ best one, and repeats until a full pass makes no change.  Multiple random
 restarts run independently (child seeds spawned from one root seed) and the
 best final design wins; ties go to the earlier restart.
 
-Inestimable designs never enter: candidate batches are screened with a
-batched SVD rank check and scored +inf when any compound member's moment
-matrix is singular.  Batches are evaluated in fixed-size chunks so the
-per-slot sweep stays in a few dozen megabytes even at m = 8.
+Swaps are scored as rank-2 updates (Fedorov's exchange).  While the design
+is unchanged, each compound member caches the SVD X = U S V^T, so that
+M^-1 = (X^T X)^-1 = V S^-2 V^T, and the whitened candidate rows
+Z = X_f V S^-1 together with Z G, G = S^-1 V^T C V S^-1, C being the
+member's moment matrix (I for the A-criterion).  Replacing the run x_o by a
+candidate x_c then changes |X^T X| by the ratio delta from the matrix
+determinant lemma and tr[M^-1 C] by a Woodbury correction with a 2 x 2
+capacitance matrix, so one slot costs O(w p) rather than an SVD and a
+solve per candidate.  A swap with delta at or below a fixed tolerance is
+inestimable and scores +inf.
+
+Only the best rank-2 scores are trusted as a ranking: they are re-scored
+exactly (SVD rank screen, Gram, solve) and a swap is accepted only when its
+exact value is strictly below the current one.  The cache is rebuilt from
+scratch after every accepted swap, so rounding error cannot build up.  The
+exact scorer also screens the random starting designs, in chunks capped by
+bytes so memory stays bounded whatever N is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +46,19 @@ from .fitting import RANK_RTOL
 from .models import full_factorial_matrix
 from .perms import check_capacity, enumerate_permutations
 
-_CHUNK_ROWS = 1024
+#: Bytes for one chunk of exact scoring: its gathered (rows, N, p) matrices
+#: plus their (rows, p, p) Grams, in float64.
+_CHUNK_BYTES = 8 << 20
 _START_ATTEMPTS = 200
+#: A swap is inestimable when the determinant ratio |X'^T X'| / |X^T X| is at
+#: or below this.  Such a design has lost nearly all information along one
+#: direction; the rank-2 formulas are not trustworthy there, and the exact
+#: re-score of an accepted swap still applies the SVD rank test of RANK_RTOL.
+_DELTA_TOL = 1e-9
+#: Rank-2 scores within this relative distance of the best one are re-scored
+#: exactly together, so near-ties are broken by exact values, as a full exact
+#: sweep would break them.
+_TIE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -53,6 +78,8 @@ class SearchConfig:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_passes < 1:
             raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         p_max = self.objective.max_param_count(self.m)
         if self.n_runs < p_max:
             raise ValidationError(
@@ -75,13 +102,28 @@ class SearchResult:
         return self.config.seed
 
 
+class _Member(NamedTuple):
+    """One compound member in the form the scorers use."""
+
+    xf: np.ndarray  # all w candidate rows, coded if the criterion asks
+    moment: np.ndarray | None  # C of tr[M^-1 C]; None for A and D
+    scale: float
+    kind: CriterionKind
+    weight: float
+
+
+def _chunk_rows(n_runs: int, p: int) -> int:
+    """Designs per exact-scoring chunk under the ``_CHUNK_BYTES`` budget."""
+    return max(1, _CHUNK_BYTES // (8 * p * (n_runs + p)))
+
+
 class _Evaluator:
-    """Scores batches of designs (as index arrays into the m! pool) at once."""
+    """Scores batches of designs (as index arrays into the m! pool) exactly."""
 
     def __init__(self, objective: CompoundSpec, m: int):
         self.objective = objective
         self.m = m
-        self._members = []
+        self.members: list[_Member] = []
         for member in objective.members:
             xf = full_factorial_matrix(member.model, m).values
             plain, centered, w = factorial_moments(member.model, m)
@@ -98,20 +140,21 @@ class _Evaluator:
                 moment, scale = plain, sigma2 / w
             else:
                 moment, scale = None, sigma2
-            self._members.append((xf, moment, scale, kind, member.weight))
+            self.members.append(_Member(xf, moment, scale, kind, member.weight))
+        self._p_max = max(mem.xf.shape[1] for mem in self.members)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
         """Compound objective for each row of ``batch`` (+inf if inestimable)."""
         batch = np.asarray(batch)
         out = np.zeros(batch.shape[0])
-        for start in range(0, batch.shape[0], _CHUNK_ROWS):
-            chunk = batch[start : start + _CHUNK_ROWS]
-            out[start : start + _CHUNK_ROWS] = self._evaluate_chunk(chunk)
+        rows = _chunk_rows(batch.shape[1], self._p_max)
+        for start in range(0, batch.shape[0], rows):
+            out[start : start + rows] = self._evaluate_chunk(batch[start : start + rows])
         return out
 
     def _evaluate_chunk(self, chunk: np.ndarray) -> np.ndarray:
         total = np.zeros(chunk.shape[0])
-        for xf, moment, scale, kind, weight in self._members:
+        for xf, moment, scale, kind, weight in self.members:
             x = xf[chunk]  # (B, N, p)
             p = x.shape[2]
             svals = np.linalg.svd(x, compute_uv=False)
@@ -132,6 +175,69 @@ class _Evaluator:
                     values = 1.0 / (scale * np.exp(logdet / p))
             total += weight * np.where(estimable, values, np.inf)
         return total
+
+
+class _MemberSweep:
+    """One member's cached products for the swaps out of a fixed design."""
+
+    def __init__(self, member: _Member, idx: np.ndarray):
+        xf = member.xf
+        p = xf.shape[1]
+        _, s, vt = np.linalg.svd(xf[idx], full_matrices=False)
+        # whitened rows: x_c^T M^-1 x_o = z_c . z_o, and a_cc = |z_c|^2 is a
+        # sum of squares, more accurate than rowsum(X_f M^-1 * X_f)
+        self.member = member
+        self.z = xf @ (vt.T / s)
+        self.a = np.einsum("ij,ij->i", self.z, self.z)
+        if member.kind is CriterionKind.D_OPT:
+            self.logdet = 2.0 * float(np.sum(np.log(s)))
+            return
+        if member.moment is None:  # A: (sigma^2 / p) tr[M^-1]
+            g, self.scale = np.diag(s**-2.0), member.scale / p
+        else:  # G = S^-1 V^T C V S^-1, so B = M^-1 C M^-1 acts as z^T G z
+            g, self.scale = (vt / s[:, None]) @ member.moment @ (vt.T / s), member.scale
+        self.q = self.z @ g
+        self.b = np.einsum("ij,ij->i", self.q, self.z)
+        self.trace = float(np.trace(g))  # tr[M^-1 C]
+
+    def values(self, out: int) -> tuple[np.ndarray, np.ndarray]:
+        """(member value, determinant ratio delta) of every candidate swapped
+        in for the run with pool index ``out``."""
+        z_o = self.z[out]
+        a_oo = self.a[out]
+        a_co = self.z @ z_o
+        delta = (1.0 + self.a) * (1.0 - a_oo) + a_co**2
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.member.kind is CriterionKind.D_OPT:
+                logdet = self.logdet + np.log(delta)
+                p = z_o.shape[0]
+                return 1.0 / (self.member.scale * np.exp(logdet / p)), delta
+            # Woodbury with capacitance K = [[1 + a_cc, a_co], [a_co, a_oo - 1]],
+            # det K = -delta
+            b_co = self.q @ z_o
+            b_oo = self.b[out]
+            correction = (1.0 - a_oo) * self.b + 2.0 * a_co * b_co - (1.0 + self.a) * b_oo
+            return self.scale * (self.trace - correction / delta), delta
+
+
+class _SwapScorer:
+    """Rank-2 compound scores of every single-run swap out of one design."""
+
+    def __init__(self, evaluator: _Evaluator, idx: np.ndarray):
+        self._idx = idx.copy()
+        self._sweeps = [_MemberSweep(member, self._idx) for member in evaluator.members]
+
+    def scores(self, slot: int) -> np.ndarray:
+        """Score of each of the w candidates put into ``slot`` (+inf if
+        inestimable); the incumbent's own entry is left as computed."""
+        out = self._idx[slot]
+        total = 0.0
+        estimable = True
+        for sweep in self._sweeps:
+            values, delta = sweep.values(out)
+            total = total + sweep.member.weight * values
+            estimable = estimable & (delta > _DELTA_TOL)
+        return np.where(estimable & np.isfinite(total), total, np.inf)
 
 
 def random_design(m: int, n_runs: int, seed: int | np.random.Generator) -> Design:
@@ -161,16 +267,41 @@ def _exchange_pass(
 ) -> tuple[float, bool]:
     """One sweep over all slots, mutating ``idx`` in place."""
     improved = False
+    scorer = _SwapScorer(evaluator, idx)
     for slot in range(idx.shape[0]):
-        batch = np.tile(idx, (w, 1))
-        batch[:, slot] = np.arange(w)
-        values = evaluator.evaluate(batch)
-        best = int(np.argmin(values))
-        if values[best] < current:  # strict: ties keep the incumbent
-            idx[slot] = best
-            current = float(values[best])
+        swap = _best_swap(evaluator, idx, slot, scorer.scores(slot), current)
+        if swap is not None:
+            idx[slot], current = swap
             improved = True
+            scorer = _SwapScorer(evaluator, idx)
     return current, improved
+
+
+def _best_swap(
+    evaluator: _Evaluator, idx: np.ndarray, slot: int, scores: np.ndarray, current: float
+) -> tuple[int, float] | None:
+    """(candidate, exact value) of the best swap into ``slot`` if it beats
+    ``current`` strictly, else None.
+
+    The incumbent cannot beat itself, so ties keep it.  Candidates are
+    re-scored exactly in bands of near-equal rank-2 scores, best band first;
+    the first band whose exact best beats ``current`` holds the exact argmin
+    over all w candidates, lowest index first among equal values.  A band
+    that fails is masked and the next one tried.
+    """
+    scores[idx[slot]] = np.inf
+    while True:
+        low = scores.min()
+        if not low < current + _TIE_RTOL * abs(current):
+            return None
+        band = np.flatnonzero(scores <= low + _TIE_RTOL * abs(low))
+        rows = np.tile(idx, (band.size, 1))
+        rows[:, slot] = band
+        exact = evaluator.evaluate(rows)
+        best = int(np.argmin(exact))
+        if exact[best] < current:
+            return int(band[best]), float(exact[best])
+        scores[band] = np.inf
 
 
 def exchange_search(config: SearchConfig) -> SearchResult:

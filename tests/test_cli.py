@@ -373,6 +373,35 @@ def test_design_seed_env_fallback(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 5
 
 
+def test_design_negative_seed_is_rejected(capsys):
+    rc, out, err = run_cli(
+        capsys, "design", "--m", "3", "--runs", "8", "--models", "pwo", "--seed", "-1",
+    )
+    assert rc == 2 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("oofa: error:")]
+    assert len(errors) == 1 and "seed" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_design_non_integer_env_seed_is_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("OOFA_SEED", "abc")
+    rc, out, err = run_cli(capsys, "design", "--m", "3", "--runs", "8", "--models", "pwo")
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [
+        "oofa: error: ValidationError: OOFA_SEED must be an integer, got 'abc'"
+    ]
+
+
+def test_infinite_sigma2_is_rejected(capsys, full_factorial_m4):
+    for argv in (
+        ["criteria", "--design", full_factorial_m4, "--models", "pwo", "--criterion", "apv"],
+        ["design", "--m", "3", "--runs", "8", "--models", "pwo"],
+    ):
+        rc, out, err = run_cli(capsys, *argv, "--sigma2", "inf")
+        assert rc == 2 and out == ""
+        assert err.splitlines()[-1].startswith("oofa: error: ValidationError: sigma2")
+
+
 def test_design_too_few_runs(capsys):
     rc, _, err = run_cli(
         capsys, "design", "--m", "3", "--runs", "3", "--models", "pwo",

@@ -20,7 +20,15 @@ from oofa import (
     exchange_search,
     parse_model,
 )
-from oofa.search import _Evaluator, random_design
+from oofa import search
+from oofa.search import (
+    _chunk_rows,
+    _Evaluator,
+    _exchange_pass,
+    _random_start,
+    _SwapScorer,
+    random_design,
+)
 
 APV = CriterionSpec(CriterionKind.APV)
 
@@ -164,3 +172,137 @@ def test_search_more_runs_recovers():
                           restarts=2, seed=64)
     result = exchange_search(config)
     assert np.isfinite(result.objective)
+
+
+# -- byte-capped exact scoring ------------------------------------------------
+
+
+@pytest.mark.parametrize("n_runs, p", [(6, 4), (24, 20), (40, 29), (5000, 111), (10**7, 111)])
+def test_chunk_rows_fit_the_byte_budget(n_runs, p):
+    rows = _chunk_rows(n_runs, p)
+    row_bytes = 8 * p * (n_runs + p)
+    assert rows >= 1
+    assert rows == 1 or rows * row_bytes <= search._CHUNK_BYTES
+    assert (rows + 1) * row_bytes > search._CHUNK_BYTES
+
+
+def test_chunked_evaluation_does_not_change_values(monkeypatch):
+    evaluator = _Evaluator(_objective("pwo", "rs2"), 4)
+    batch = np.random.default_rng(3).integers(0, 24, size=(30, 12))
+    whole = evaluator.evaluate(batch)
+    monkeypatch.setattr(search, "_CHUNK_BYTES", 1)  # one design per chunk
+    np.testing.assert_array_equal(evaluator.evaluate(batch), whole)
+
+
+# -- rank-2 exchange against the exhaustive exact sweep -----------------------
+
+
+def _tiled_exchange_pass(idx, current, evaluator, w):
+    """The exhaustive pass the rank-2 sweep replaced: every swap scored exactly."""
+    improved = False
+    for slot in range(idx.shape[0]):
+        batch = np.tile(idx, (w, 1))
+        batch[:, slot] = np.arange(w)
+        values = evaluator.evaluate(batch)
+        best = int(np.argmin(values))
+        if values[best] < current:
+            idx[slot], current, improved = best, float(values[best]), True
+    return current, improved
+
+
+RANK2_OBJECTIVES = [
+    pytest.param(("pwo",), kind, orth, id=f"{kind.value}{'-orth' if orth else ''}")
+    for kind in CriterionKind
+    for orth in (False, True)
+] + [pytest.param(("pwo", "rs2"), CriterionKind.APV, False, id="apv-pwo+rs2")]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("labels, kind, orth", RANK2_OBJECTIVES)
+def test_rank2_slot_scores_match_exact_batch(m, labels, kind, orth):
+    objective = _objective(*labels, criterion=CriterionSpec(kind, 1.3, orth))
+    evaluator = _Evaluator(objective, m)
+    w = math.factorial(m)
+    # twice as many runs as parameters keeps X well conditioned, so both
+    # routes are accurate well beyond the tolerance
+    n_runs = 2 * objective.max_param_count(m)
+    idx = np.random.default_rng(m).integers(0, w, size=n_runs)
+    assert np.isfinite(evaluator.evaluate(idx[None, :])[0])
+    scorer = _SwapScorer(evaluator, idx)
+    for slot in range(n_runs):
+        batch = np.tile(idx, (w, 1))
+        batch[:, slot] = np.arange(w)
+        exact = evaluator.evaluate(batch)
+        fast = scorer.scores(slot)
+        np.testing.assert_array_equal(np.isinf(fast), np.isinf(exact))
+        finite = np.isfinite(exact)
+        np.testing.assert_allclose(fast[finite], exact[finite], rtol=1e-9)
+
+
+def test_rank2_flags_the_same_inestimable_swaps():
+    # nn at m = 3 is estimable only when all six orders appear, so most swaps
+    # out of a 7-run design are singular
+    objective = _objective("nn")
+    evaluator = _Evaluator(objective, 3)
+    idx, _ = _random_start(evaluator, 7, 6, np.random.default_rng(0))
+    scorer = _SwapScorer(evaluator, idx)
+    singular = 0
+    for slot in range(7):
+        batch = np.tile(idx, (6, 1))
+        batch[:, slot] = np.arange(6)
+        exact = evaluator.evaluate(batch)
+        np.testing.assert_array_equal(np.isinf(scorer.scores(slot)), np.isinf(exact))
+        singular += int(np.isinf(exact).sum())
+    assert singular > 0
+
+
+@pytest.mark.parametrize("labels, kind, orth, m, n_runs", [
+    (("pwo",), CriterionKind.APV, False, 4, 9),
+    (("pwo", "rs2"), CriterionKind.APV, False, 4, 12),
+    (("rs2",), CriterionKind.AV, False, 5, 16),
+    (("pwo",), CriterionKind.A_OPT, True, 5, 14),
+    (("rs2",), CriterionKind.D_OPT, False, 5, 16),
+    (("nn",), CriterionKind.APV, False, 3, 8),
+])
+def test_exchange_pass_matches_tiled_reference(labels, kind, orth, m, n_runs):
+    evaluator = _Evaluator(_objective(*labels, criterion=CriterionSpec(kind, 1.0, orth)), m)
+    w = math.factorial(m)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        idx_ref, current_ref = _random_start(evaluator, n_runs, w, rng)
+        idx, current = idx_ref.copy(), current_ref
+        for _ in range(10):
+            current_ref, improved_ref = _tiled_exchange_pass(idx_ref, current_ref, evaluator, w)
+            current, improved = _exchange_pass(idx, current, evaluator, w)
+            assert np.array_equal(idx, idx_ref)
+            assert current == current_ref
+            assert improved == improved_ref
+            if not improved:
+                break
+
+
+def test_accepted_swaps_stay_estimable(monkeypatch):
+    """nn at m = 3 with 7 runs: no accepted swap may leave a design that
+    ``compound`` rejects.  The scorer is rebuilt after every accepted swap,
+    so recording its designs sees each one."""
+    designs = []
+
+    class Recording(_SwapScorer):
+        def __init__(self, evaluator, idx):
+            super().__init__(evaluator, idx)
+            designs.append(idx.copy())
+
+    monkeypatch.setattr(search, "_SwapScorer", Recording)
+    objective = _objective("nn")
+    evaluator = _Evaluator(objective, 3)
+    pool = enumerate_permutations(3)
+    passes = 0
+    for seed in range(5):
+        idx, current = _random_start(evaluator, 7, 6, np.random.default_rng(seed))
+        improved = True
+        while improved:
+            passes += 1
+            current, improved = _exchange_pass(idx, current, evaluator, 6)
+    assert len(designs) > passes  # one scorer per pass, one more per accepted swap
+    for idx in designs:
+        assert np.isfinite(compound(objective, Design(tuple(pool[i] for i in idx))))
