@@ -98,16 +98,24 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class AveragedPrediction:
-    """Model-averaged estimate, standard error and rank for every order."""
+    """Model-averaged estimate, standard error and rank for every order.
+
+    ``model_estimates`` and ``model_ranks`` are (K, w): row k holds the
+    point predictions of the k-th candidate fit, and their ranks, from
+    which the average was formed.
+    """
 
     perms: tuple[Permutation, ...]
     estimates: np.ndarray
     variances: np.ndarray
     std_errors: np.ndarray
     ranks: np.ndarray
+    model_estimates: np.ndarray
+    model_ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.estimates, self.variances, self.std_errors, self.ranks):
+        for arr in (self.estimates, self.variances, self.std_errors, self.ranks,
+                    self.model_estimates, self.model_ranks):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -124,10 +132,12 @@ def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
         est, var = predict_rows(fit, rows)
         per_model_est.append(est)
         per_model_var.append(var)
-    avg, var = combine_predictions(
-        np.array(per_model_est), np.array(per_model_var), np.array(candidates.weights)
+    model_est = np.array(per_model_est)
+    avg, var = combine_predictions(model_est, np.array(per_model_var), np.array(candidates.weights))
+    model_ranks = np.array([rank_descending(est) for est in model_est])
+    return AveragedPrediction(
+        perms, avg, var, np.sqrt(var), rank_descending(avg), model_est, model_ranks
     )
-    return AveragedPrediction(perms, avg, var, np.sqrt(var), rank_descending(avg))
 
 
 def average_variance_summary(prediction: AveragedPrediction) -> float:

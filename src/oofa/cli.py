@@ -34,7 +34,7 @@ from .dataio import (
     to_json,
     write_design,
 )
-from .errors import OofaError, SaturatedModelError, ValidationError
+from .errors import OofaError, ParseError, SaturatedModelError, ValidationError
 from .fitting import Dataset, FitResult, ols_fit
 from .models import Family, ModelSpec, build_matrix, parse_model
 from .perms import check_capacity, enumerate_permutations, standardize
@@ -177,14 +177,18 @@ def _cmd_average(args: argparse.Namespace) -> None:
     specs = _model_list(args.models)
     data = _apply_block(_load_dataset(args.data), args.block)
     fits = [ols_fit(spec, data) for spec in specs]
-    candidates, _ = _weighted_candidates(fits, args.weights)
+    candidates, display_only = _weighted_candidates(fits, args.weights)
     averaged = average_predictions(candidates)
 
     labels = data.design.component_labels
-    per_model: list[tuple[str, np.ndarray, np.ndarray]] = []
-    for fit in fits:
+    predicted = {
+        id(fit): (est, ranks)
+        for fit, est, ranks in zip(candidates.fits, averaged.model_estimates, averaged.model_ranks)
+    }
+    for fit in display_only:
         table = predict_all(fit)
-        per_model.append((fit.spec.label, table.estimates, table.ranks))
+        predicted[id(fit)] = (table.estimates, table.ranks)
+    per_model = [(fit.spec.label, *predicted[id(fit)]) for fit in fits]
 
     header = [f"pos_{k}" for k in range(1, data.m + 1)]
     for label, _, _ in per_model:
@@ -209,7 +213,11 @@ def _cmd_average(args: argparse.Namespace) -> None:
 def _cmd_predict(args: argparse.Namespace) -> None:
     _emit_config(args, ["fit", "top", "minimize", "format"])
     with open(args.fit, "r", encoding="utf-8") as handle:
-        fit = fit_from_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise ParseError(f"{args.fit} is not a JSON fit file: {exc}") from None
+    fit = fit_from_dict(payload)
     table = predict_all(fit)
     if args.minimize:
         table = PredictionTable(

@@ -34,7 +34,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .design import Design
 from .errors import EstimabilityError, ValidationError
@@ -269,7 +268,7 @@ def orthogonal_coding(spec: ModelSpec, m: int) -> OrthogonalCoding:
         raise EstimabilityError(
             f"model {spec.label} has a rank-deficient full-factorial matrix at m = {m}"
         ) from None
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0]), lower=False)
+    r_inv = np.linalg.solve(r, np.eye(r.shape[0]))
     return OrthogonalCoding(spec, m, w, r, r_inv * np.sqrt(w))
 
 

@@ -85,6 +85,8 @@ def read_design(source) -> Design | Dataset:
     stream, owned = _open_source(source)
     try:
         rows = list(csv.reader(stream))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"design file is not valid UTF-8 text ({exc.reason})") from None
     finally:
         if owned:
             stream.close()
@@ -266,11 +268,23 @@ def fit_from_dict(payload: dict) -> FitResult:
             xtx_inv=np.array(payload["xtx_inv"], dtype=float),
             n_block_cols=int(payload["n_block_cols"]),
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:  # a ValueError too, but already says what is wrong
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed fit JSON: missing or bad field {exc}") from None
-    expected = term_labels(spec, design.m)
-    if labels[: len(expected)] != expected:
+    model_terms = term_labels(spec, design.m)
+    if len(labels) != len(model_terms) + fit.n_block_cols:
+        raise ParseError(
+            f"fit JSON has {len(labels)} coefficients; model {spec.label} with "
+            f"{fit.n_block_cols} block columns has {len(model_terms) + fit.n_block_cols} terms"
+        )
+    expected = model_terms + tuple(f"block_{j}" for j in range(1, fit.n_block_cols + 1))
+    if labels != expected:
         raise ParseError("fit JSON terms do not match the declared model")
+    p = len(labels)
+    if fit.xtx_inv.shape != (p, p):
+        shape = " x ".join(str(k) for k in fit.xtx_inv.shape)
+        raise ParseError(f"fit JSON xtx_inv is {shape or 'a scalar'}, expected {p} x {p}")
     return fit
 
 

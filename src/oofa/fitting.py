@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .design import Design
 from .errors import (
@@ -142,6 +141,10 @@ def ols_fit(spec: ModelSpec, data: Dataset) -> FitResult:
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     if rank < p:
+        # scipy only names the dependent columns; importing it costs more
+        # than most requests, so it stays off the common path
+        import scipy.linalg
+
         _, _, pivots = scipy.linalg.qr(x, mode="economic", pivoting=True)
         dependent = tuple(labels[j] for j in sorted(pivots[rank:]))
         raise EstimabilityError(

@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import EstimabilityError, UnsupportedModelError, ValidationError
-from .perms import Permutation, as_permutations, check_capacity, enumerate_permutations
+from .perms import Permutation, as_permutations, order_array
 
 
 class Family(str, enum.Enum):
@@ -214,9 +214,9 @@ def _taper_table(taper: Taper, m: int) -> np.ndarray:
     return np.array([taper_value(taper, h, m) for h in range(1, m)])
 
 
-def _positions(runs: tuple[Permutation, ...]) -> np.ndarray:
-    """(n, m) float array of positions: column c-1 holds q_c per run."""
-    orders = np.array([run.order for run in runs], dtype=np.intp)
+def _positions(orders: np.ndarray) -> np.ndarray:
+    """(n, m) float array of positions from (n, m) component orders: column
+    c-1 holds q_c per run."""
     n, m = orders.shape
     q = np.empty((n, m))
     q[np.arange(n)[:, None], orders - 1] = np.arange(1, m + 1)
@@ -296,13 +296,19 @@ def build_matrix(spec: ModelSpec, runs: Sequence[Permutation]) -> DesignMatrix:
     for i, run in enumerate(runs):
         if run.m != m:
             raise ValidationError(f"run {i + 1} has {run.m} components, expected {m}")
+    orders = np.array([run.order for run in runs], dtype=np.intp)
+    return _matrix_from_positions(spec, _positions(orders))
+
+
+def _matrix_from_positions(spec: ModelSpec, q: np.ndarray) -> DesignMatrix:
+    """The model matrix of the runs whose positions q_c are the rows of ``q``."""
+    n, m = q.shape
     if m < 2:
         raise ValidationError(f"model matrices need m >= 2, got m = {m}")
     if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
         raise UnsupportedModelError(
             f"{spec.label} is undefined for m = {m}: no third-order terms exist"
         )
-    q = _positions(runs)
     if spec.family in (Family.PWO, Family.TPWO):
         z = None if spec.family is Family.PWO else _taper_table(spec.taper, m)
         cols, labels = _pwo_columns(q, m, z)
@@ -317,7 +323,7 @@ def build_matrix(spec: ModelSpec, runs: Sequence[Permutation]) -> DesignMatrix:
     else:
         cols, labels = _nn_columns(q, m)
     if spec.include_intercept:
-        cols.insert(0, np.ones(len(runs)))
+        cols.insert(0, np.ones(n))
         labels.insert(0, "b0")
     values = np.column_stack(cols)
     return DesignMatrix(values, tuple(labels), m, spec)
@@ -334,8 +340,7 @@ def full_factorial_matrix(spec: ModelSpec, m: int) -> DesignMatrix:
 
     Cached per (spec, m): safe because the result is immutable.
     """
-    check_capacity(m)
-    return build_matrix(spec, enumerate_permutations(m))
+    return _matrix_from_positions(spec, _positions(order_array(m)))
 
 
 def pwo_to_ltpwo_maps(m: int) -> tuple[np.ndarray, np.ndarray]:

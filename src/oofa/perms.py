@@ -25,6 +25,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
 
 #: Hard cap on the component count: downstream modules materialize all m!
@@ -117,6 +119,26 @@ def enumerate_permutations(m: int) -> tuple[Permutation, ...]:
     return tuple(
         Permutation(order) for order in itertools.permutations(range(1, m + 1))
     )
+
+
+@lru_cache(maxsize=None)
+def order_array(m: int) -> np.ndarray:
+    """All m! orderings of 1..m as a read-only (m!, m) integer array.
+
+    Rows are in the lexicographic order of :func:`enumerate_permutations`,
+    so row i is ``enumerate_permutations(m)[i].order``.  Cached; code that
+    only needs the orders (model matrices, the search pool) indexes this
+    instead of building m! :class:`Permutation` objects.
+    """
+    check_capacity(m)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(1, m + 1))),
+        dtype=np.intp,
+        count=factorial(m) * m,
+    )
+    orders = flat.reshape(-1, m)
+    orders.setflags(write=False)
+    return orders
 
 
 def standardize(perm: Permutation) -> StdPositions:

@@ -76,7 +76,7 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
     if fit.sigma2_hat is None:
         return est, np.full(len(rows), np.nan)
     cov_model = fit.xtx_inv[:k, :k]
-    var = fit.sigma2_hat * np.einsum("ij,jk,ik->i", rows, cov_model, rows)
+    var = fit.sigma2_hat * ((rows @ cov_model) * rows).sum(axis=1)
     return est, np.maximum(var, 0.0)
 
 

@@ -22,8 +22,9 @@ Only the best rank-2 scores are trusted as a ranking: they are re-scored
 exactly (SVD rank screen, Gram, solve) and a swap is accepted only when its
 exact value is strictly below the current one.  The cache is rebuilt from
 scratch after every accepted swap, so rounding error cannot build up.  The
-exact scorer also screens the random starting designs, in chunks capped by
-bytes so memory stays bounded whatever N is.
+exact scorer also screens the random starting designs, a few at a time
+until one is estimable, in chunks capped by bytes so memory stays bounded
+whatever N is.
 """
 
 from __future__ import annotations
@@ -44,12 +45,14 @@ from .design import Design
 from .errors import SearchFailureError, ValidationError
 from .fitting import RANK_RTOL
 from .models import full_factorial_matrix
-from .perms import check_capacity, enumerate_permutations
+from .perms import check_capacity, order_array
 
 #: Bytes for one chunk of exact scoring: its gathered (rows, N, p) matrices
 #: plus their (rows, p, p) Grams, in float64.
 _CHUNK_BYTES = 8 << 20
 _START_ATTEMPTS = 200
+#: Starting designs scored per call while looking for the first estimable one.
+_START_BLOCK = 8
 #: A swap is inestimable when the determinant ratio |X'^T X'| / |X^T X| is at
 #: or below this.  Such a design has lost nearly all information along one
 #: direction; the rank-2 formulas are not trustworthy there, and the exact
@@ -244,22 +247,27 @@ def random_design(m: int, n_runs: int, seed: int | np.random.Generator) -> Desig
     """A design of ``n_runs`` orders drawn uniformly from all m! candidates."""
     check_capacity(m)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    pool = enumerate_permutations(m)
+    pool = order_array(m)
     idx = rng.integers(0, len(pool), size=n_runs)
-    return Design(tuple(pool[i] for i in idx))
+    return Design.from_orders(pool[idx].tolist())
 
 
 def _random_start(
     evaluator: _Evaluator, n_runs: int, w: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float] | None:
-    """First estimable random design among a fixed number of attempts."""
+    """First estimable random design among a fixed number of attempts.
+
+    All attempts are drawn up front, so the random stream does not depend on
+    how many get scored; they are scored in blocks until one is estimable.
+    """
     candidates = rng.integers(0, w, size=(_START_ATTEMPTS, n_runs))
-    values = evaluator.evaluate(candidates)
-    finite = np.flatnonzero(np.isfinite(values))
-    if finite.size == 0:
-        return None
-    first = int(finite[0])
-    return candidates[first].copy(), float(values[first])
+    for start in range(0, _START_ATTEMPTS, _START_BLOCK):
+        values = evaluator.evaluate(candidates[start : start + _START_BLOCK])
+        finite = np.flatnonzero(np.isfinite(values))
+        if finite.size:
+            first = int(finite[0])
+            return candidates[start + first].copy(), float(values[first])
+    return None
 
 
 def _exchange_pass(
@@ -307,7 +315,7 @@ def _best_swap(
 def exchange_search(config: SearchConfig) -> SearchResult:
     """Best design over all restarts of the greedy point-exchange heuristic."""
     evaluator = _Evaluator(config.objective, config.m)
-    pool = enumerate_permutations(config.m)
+    pool = order_array(config.m)
     w = len(pool)
     children = np.random.SeedSequence(config.seed).spawn(config.restarts)
 
@@ -334,7 +342,7 @@ def exchange_search(config: SearchConfig) -> SearchResult:
             f"{config.restarts} x {_START_ATTEMPTS} attempts; increase n_runs"
         )
     objective, restart, idx, trace = best
-    design = Design(tuple(pool[i] for i in idx))
+    design = Design.from_orders(pool[idx].tolist())
     member_values = tuple(
         criterion_value(mem.model, mem.criterion, design)
         for mem in config.objective.members

@@ -138,9 +138,13 @@ def test_averaged_table_matches_oracle(m3_dataset, oracle_fixtures):
 def test_estimates_are_convex_in_models(m3_dataset):
     fits = _fits(m3_dataset)
     averaged = average_predictions(CandidateSet.from_akaike(fits))
-    per_model = np.array([predict_all(f).estimates for f in fits])
+    tables = [predict_all(f) for f in fits]
+    per_model = np.array([t.estimates for t in tables])
     assert np.all(averaged.estimates <= per_model.max(axis=0) + 1e-12)
     assert np.all(averaged.estimates >= per_model.min(axis=0) - 1e-12)
+    # the per-model columns handed back are the single-model tables
+    np.testing.assert_array_equal(averaged.model_estimates, per_model)
+    np.testing.assert_array_equal(averaged.model_ranks, [t.ranks for t in tables])
 
 
 def test_combine_validation():

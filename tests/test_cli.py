@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oofa
 from oofa import Design, enumerate_permutations, read_design, write_design
 from oofa.cli import main
 
@@ -269,6 +273,62 @@ def test_predict_all_orders_match_fixture(capsys, pwo_fit_json, oracle_fixtures)
 def test_predict_missing_fit_file(capsys, tmp_path):
     rc, _, _ = run_cli(capsys, "predict", "--fit", str(tmp_path / "gone.json"))
     assert rc == 2
+
+
+def _tampered_fit(path, tmp_path, edit):
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    edit(payload)
+    out = tmp_path / "tampered.json"
+    out.write_text(json.dumps(payload), encoding="utf-8")
+    return str(out)
+
+
+def assert_parse_error(rc, err):
+    assert rc == 2
+    lines = [line for line in err.splitlines() if not line.startswith("# config:")]
+    assert len(lines) == 1 and lines[0].startswith("oofa: error: ParseError: "), err
+
+
+def test_predict_rejects_invalid_json(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"model": "pwo", "coeff', encoding="utf-8")
+    rc, out, err = run_cli(capsys, "predict", "--fit", str(path))
+    assert_parse_error(rc, err)
+    assert out == ""
+
+
+def test_predict_rejects_truncated_xtx_inv(capsys, pwo_fit_json, tmp_path):
+    path = _tampered_fit(pwo_fit_json, tmp_path,
+                         lambda d: d.update(xtx_inv=d["xtx_inv"][:-1]))
+    rc, _, err = run_cli(capsys, "predict", "--fit", path)
+    assert_parse_error(rc, err)
+    assert "xtx_inv is 3 x 4, expected 4 x 4" in err
+
+
+def test_predict_rejects_wrong_coefficient_count(capsys, pwo_fit_json, tmp_path):
+    extra = {"term": "x_3_4", "estimate": 1.0}
+    path = _tampered_fit(pwo_fit_json, tmp_path,
+                         lambda d: d["coefficients"].append(extra))
+    rc, _, err = run_cli(capsys, "predict", "--fit", path)
+    assert_parse_error(rc, err)
+    assert "5 coefficients" in err and "4 terms" in err
+
+
+def test_non_utf8_design_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("pos_1,pos_2,pos_3,y\nA,B,C,1\n\u00c4,B,C,2\n".encode("latin-1"))
+    rc, _, err = run_cli(capsys, "fit", "--model", "pwo", "--data", str(path))
+    assert_parse_error(rc, err)
+    assert "UTF-8" in err
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(oofa.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import oofa.cli, sys; assert 'scipy' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # -- criteria ----------------------------------------------------------------

@@ -197,6 +197,17 @@ def test_orthogonal_coding_gram(label, m):
                                rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("label", ["pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear",
+                                   "cp", "rs2", "rs3", "rs3s", "nn"])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_orthogonal_coding_inverse_matches_triangular_solve(label, m):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    coding = orthogonal_coding(parse_model(label), m)
+    expected = scipy_linalg.solve_triangular(coding.r, np.eye(coding.r.shape[0]), lower=False)
+    np.testing.assert_allclose(coding.apply(np.eye(coding.r.shape[0])) / math.sqrt(coding.w),
+                               expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
 def test_coded_av_is_a_optimality():
     spec = parse_model("pwo")
     design = _estimable_design("pwo", 4, 12, 901)

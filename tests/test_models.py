@@ -82,6 +82,23 @@ def test_full_factorial_full_rank(label, m):
     assert np.linalg.matrix_rank(built.values) == built.p
 
 
+@pytest.mark.parametrize("label, m", [
+    *((label, m) for label in ALL_LABELS for m in range(2, 8)),
+    ("pwo", 8),
+    ("nn", 8),
+])
+def test_full_factorial_equals_build_matrix_of_all_orders(label, m):
+    spec = parse_model(label)
+    if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
+        with pytest.raises(UnsupportedModelError):
+            full_factorial_matrix(spec, m)
+        return
+    fast = full_factorial_matrix(spec, m)
+    slow = build_matrix(spec, enumerate_permutations(m))
+    assert np.array_equal(fast.values, slow.values)
+    assert fast.term_labels == slow.term_labels
+
+
 def test_full_factorial_is_cached():
     spec = parse_model("pwo")
     assert full_factorial_matrix(spec, 4) is full_factorial_matrix(spec, 4)

@@ -17,6 +17,7 @@ from oofa import (
     signed_distance,
     standardize,
 )
+from oofa.perms import order_array
 
 orders = st.integers(2, 7).flatmap(
     lambda m: st.permutations(list(range(1, m + 1)))
@@ -35,6 +36,16 @@ def test_enumeration_count_and_order():
 
 def test_enumeration_is_cached():
     assert enumerate_permutations(5) is enumerate_permutations(5)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_order_array_rows_are_the_enumerated_orders(m):
+    orders = order_array(m)
+    assert orders.shape == (math.factorial(m), m)
+    assert orders.tolist() == [list(p.order) for p in enumerate_permutations(m)]
+    assert order_array(m) is orders
+    with pytest.raises(ValueError):
+        orders[0, 0] = 0
 
 
 def test_bijection_validation():
@@ -60,6 +71,8 @@ def test_capacity_cap():
         check_capacity(True)
     with pytest.raises(CapacityError):
         enumerate_permutations(9)
+    with pytest.raises(CapacityError):
+        order_array(9)
 
 
 def test_positions_and_distance():

@@ -8,6 +8,7 @@ import pytest
 from oofa import (
     Dataset,
     ValidationError,
+    full_factorial_matrix,
     ols_fit,
     parse_model,
     predict_all,
@@ -15,6 +16,7 @@ from oofa import (
     rank_descending,
     top_k,
 )
+from oofa.search import random_design
 
 FIVE = ["pwo", "tpwo:invh", "cp", "rs2", "nn"]
 
@@ -84,6 +86,24 @@ def test_predict_rows_validates_width(m3_dataset):
     fit = ols_fit(parse_model("pwo"), m3_dataset)
     with pytest.raises(ValidationError):
         predict_rows(fit, np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("label", FIVE)
+@pytest.mark.parametrize("m", [4, 5, 8])
+def test_predict_rows_variance_matches_einsum(label, m, m4_dataset, m5_dataset):
+    """The row-wise quadratic form against the 3-operand einsum it replaced."""
+    if m == 8:
+        design = random_design(8, 80, seed=1)
+        y = np.random.default_rng(1).normal(size=80)
+        data = Dataset(design, y)
+    else:
+        data = m4_dataset if m == 4 else m5_dataset
+    fit = ols_fit(parse_model(label), data)
+    rows = full_factorial_matrix(fit.spec, m).values
+    _, var = predict_rows(fit, rows)
+    k = fit.n_model_cols
+    expected = fit.sigma2_hat * np.einsum("ij,jk,ik->i", rows, fit.xtx_inv[:k, :k], rows)
+    np.testing.assert_allclose(var, expected, rtol=1e-12, atol=0)
 
 
 def test_prediction_at_block_zero_averages_blocks(m4_dataset):

@@ -194,6 +194,31 @@ def test_chunked_evaluation_does_not_change_values(monkeypatch):
     np.testing.assert_array_equal(evaluator.evaluate(batch), whole)
 
 
+@pytest.mark.parametrize("labels, m, n_runs", [
+    (("pwo", "rs2"), 5, 20),
+    (("nn",), 3, 6),  # most starts inestimable: the first block rarely holds one
+    (("nn",), 3, 7),
+])
+def test_random_start_matches_scoring_every_attempt(labels, m, n_runs):
+    evaluator = _Evaluator(_objective(*labels), m)
+    w = math.factorial(m)
+    found = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        candidates = rng.integers(0, w, size=(search._START_ATTEMPTS, n_runs))
+        values = evaluator.evaluate(candidates)
+        finite = np.flatnonzero(np.isfinite(values))
+        start = _random_start(evaluator, n_runs, w, np.random.default_rng(seed))
+        if finite.size == 0:
+            assert start is None
+            continue
+        found += 1
+        idx, value = start
+        assert np.array_equal(idx, candidates[finite[0]])
+        assert value == values[finite[0]]
+    assert found > 0
+
+
 # -- rank-2 exchange against the exhaustive exact sweep -----------------------
 
 
