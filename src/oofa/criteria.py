@@ -19,10 +19,13 @@ The w-row moment matrices X_f^T X_f and X_f^T (I - J/w) X_f depend only on
 touch.  Block labels on a design are deliberately ignored here: blocks are
 fitted nuisance parameters, not part of the prediction target.
 
-Every criterion demands a full-rank X and raises
-:class:`~oofa.errors.EstimabilityError` otherwise.  A compound objective is
-a weighted sum over (model, criterion) members with each member oriented so
-that smaller is better (the D-criterion enters through its reciprocal).
+All four criteria are read off one thin SVD of X by a single batched
+kernel, :func:`criterion_values`, which the design search shares; X^T X is
+never formed.  Every criterion demands a full-rank X and raises
+:class:`~oofa.errors.EstimabilityError` otherwise, or when its value
+overflows.  A compound objective is a weighted sum over (model, criterion)
+members with each member oriented so that smaller is better (the
+D-criterion enters through its reciprocal).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -88,6 +91,8 @@ class CompoundSpec:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValidationError("a compound criterion needs at least one member")
+        if not all(math.isfinite(mem.weight) for mem in self.members):
+            raise ValidationError("compound weights must be finite")
         if any(mem.weight < 0 for mem in self.members):
             raise ValidationError("compound weights must be non-negative")
         total = sum(mem.weight for mem in self.members)
@@ -114,52 +119,81 @@ class CompoundSpec:
 
 
 # ---------------------------------------------------------------------------
-# matrix-level core: criteria from explicit matrices
+# the criterion kernel: every criterion value comes from here
 # ---------------------------------------------------------------------------
 
 
-def checked_gram(x: np.ndarray, what: str = "design matrix") -> np.ndarray:
-    """X^T X after verifying X has full column rank."""
-    x = np.asarray(x, dtype=float)
-    s = np.linalg.svd(x, compute_uv=False)
-    if x.shape[0] < x.shape[1] or s[-1] <= RANK_RTOL * s[0]:
+@dataclass(frozen=True, eq=False)
+class MemberRows:
+    """A criterion as the kernel scores it: ``scale`` tr[M^-1 ``moment``] for
+    apv and av, ``moment`` None and ``scale`` sigma^2 for A and D, in the
+    criterion's coding.  From :func:`member_rows` it also knows the model,
+    m and the coding of model rows (None without ``--orth``)."""
+
+    criterion: CriterionSpec
+    moment: np.ndarray | None
+    scale: float
+    coding: OrthogonalCoding | None = None
+    model: ModelSpec | None = None
+    m: int = 0
+
+    def code(self, x: np.ndarray) -> np.ndarray:
+        return x if self.coding is None else self.coding.apply(x)
+
+    @cached_property
+    def candidates(self) -> np.ndarray:
+        """All w = m! candidate rows, coded; built on first use, so the A-
+        and D-criteria of one design never build the full factorial."""
+        rows = self.code(full_factorial_matrix(self.model, self.m).values)
+        rows.setflags(write=False)
+        return rows
+
+
+def criterion_values(x: np.ndarray, rows: MemberRows) -> tuple[np.ndarray, np.ndarray]:
+    """(value, column rank) of each model matrix in a (B, N, p) stack.
+
+    All is read off one thin SVD X = U S V^T, so X^T X (condition number
+    cond(X)^2) is never formed.  With W = V S^-1, (X^T X)^-1 = W W^T: apv and
+    av are ``scale`` tr[W^T C W], A is (scale / p) sum s^-2 and D is scale
+    exp(2 sum log s / p).  Values at rank < p are meaningless; callers mask
+    them.  A full-rank matrix whose value is not finite, or whose D is below
+    the smallest normal float, raises EstimabilityError.
+    """
+    kind, moment, scale = rows.criterion.kind, rows.moment, rows.scale
+    p = x.shape[2]
+    if moment is None:
+        s = np.linalg.svd(x, compute_uv=False)
+    else:
+        _, s, vt = np.linalg.svd(x, full_matrices=False)
+    rank = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kind is CriterionKind.D_OPT:
+            values = scale * np.exp(2.0 * np.log(s).sum(axis=1) / p)
+        elif moment is None:
+            values = scale / p * (s**-2.0).sum(axis=1)
+        else:
+            w = np.swapaxes(vt, 1, 2) / s[:, None, :]
+            values = scale * np.einsum("bij,bij->b", moment @ w, w)
+    # compounds take 1/D, so an estimable D must be at least the smallest normal float
+    floor = np.finfo(float).tiny if kind is CriterionKind.D_OPT else -np.inf
+    bad = np.flatnonzero((rank == p) & ~(np.isfinite(values) & (values >= floor)))
+    if bad.size:
         raise EstimabilityError(
-            f"{what} is rank-deficient ({int(np.sum(s > RANK_RTOL * s[0]))} "
-            f"of {x.shape[1]} columns independent)"
+            f"criterion {kind.value} with sigma2 = {rows.criterion.sigma2!r} evaluates to "
+            f"{float(values[bad[0]])!r} on an estimable design; use a sigma2 nearer 1"
         )
-    return x.T @ x
+    return values, rank
 
 
-def apv_from_matrices(x: np.ndarray, xf: np.ndarray, sigma2: float = 1.0) -> float:
-    """Average pairwise prediction-difference variance, from raw matrices."""
-    gram = checked_gram(x)
-    xf = np.asarray(xf, dtype=float)
-    w = xf.shape[0]
-    centered = xf - xf.mean(axis=0)
-    moment = centered.T @ centered
-    return float(2.0 * sigma2 / (w - 1) * np.trace(np.linalg.solve(gram, moment)))
-
-
-def av_from_matrices(x: np.ndarray, xf: np.ndarray, sigma2: float = 1.0) -> float:
-    """Average prediction variance over the candidate rows, from raw matrices."""
-    gram = checked_gram(x)
-    xf = np.asarray(xf, dtype=float)
-    w = xf.shape[0]
-    return float(sigma2 / w * np.trace(np.linalg.solve(gram, xf.T @ xf)))
-
-
-def a_from_matrix(x: np.ndarray, sigma2: float = 1.0) -> float:
-    gram = checked_gram(x)
-    eigvals = np.linalg.eigvalsh(gram)
-    return float(sigma2 / x.shape[1] * np.sum(1.0 / eigvals))
-
-
-def d_from_matrix(x: np.ndarray, sigma2: float = 1.0) -> float:
-    gram = checked_gram(x)
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0:
-        raise EstimabilityError("singular moment matrix in D-criterion")
-    return float(sigma2 * np.exp(logdet / x.shape[1]))
+def _single_value(x: np.ndarray, rows: MemberRows, what: str = "design matrix") -> float:
+    """The kernel on a batch of one; raises if X is rank-deficient."""
+    x = np.asarray(x, dtype=float)
+    values, rank = criterion_values(x[None], rows)
+    if rank[0] < x.shape[1]:
+        raise EstimabilityError(
+            f"{what} is rank-deficient ({rank[0]} of {x.shape[1]} columns independent)"
+        )
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -184,51 +218,52 @@ def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, 
     return plain, centered, w
 
 
-def _design_gram(spec: ModelSpec, design: Design) -> np.ndarray:
-    x = build_matrix(spec, design.runs).values
-    try:
-        return checked_gram(x, what=f"model {spec.label} on this design")
-    except EstimabilityError as exc:
-        raise EstimabilityError(
-            f"model {spec.label} is not estimable on this {design.n}-run design: {exc}"
-        ) from None
+# ---------------------------------------------------------------------------
+# matrix-level and design-level entry points
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# design-level criteria
-# ---------------------------------------------------------------------------
+def apv_from_matrices(x: np.ndarray, xf: np.ndarray, sigma2: float = 1.0) -> float:
+    """Average pairwise prediction-difference variance, from raw matrices."""
+    xf = np.asarray(xf, dtype=float)
+    centered = xf - xf.mean(axis=0)
+    crit = CriterionSpec(CriterionKind.APV, sigma2)
+    return _single_value(x, MemberRows(crit, centered.T @ centered, 2.0 * sigma2 / (len(xf) - 1)))
+
+
+def av_from_matrices(x: np.ndarray, xf: np.ndarray, sigma2: float = 1.0) -> float:
+    """Average prediction variance over the candidate rows, from raw matrices."""
+    xf = np.asarray(xf, dtype=float)
+    crit = CriterionSpec(CriterionKind.AV, sigma2)
+    return _single_value(x, MemberRows(crit, xf.T @ xf, sigma2 / len(xf)))
+
+
+def a_from_matrix(x: np.ndarray, sigma2: float = 1.0) -> float:
+    return _single_value(x, MemberRows(CriterionSpec(CriterionKind.A_OPT, sigma2), None, sigma2))
+
+
+def d_from_matrix(x: np.ndarray, sigma2: float = 1.0) -> float:
+    return _single_value(x, MemberRows(CriterionSpec(CriterionKind.D_OPT, sigma2), None, sigma2))
 
 
 def apv(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
     """Average variance of predicted differences across all m! orders."""
-    _, centered, w = factorial_moments(spec, design.m)
-    gram = _design_gram(spec, design)
-    return float(2.0 * sigma2 / (w - 1) * np.trace(np.linalg.solve(gram, centered)))
+    return criterion_value(spec, CriterionSpec(CriterionKind.APV, sigma2), design)
 
 
 def av(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
     """Average prediction variance across all m! orders."""
-    plain, _, w = factorial_moments(spec, design.m)
-    gram = _design_gram(spec, design)
-    return float(sigma2 / w * np.trace(np.linalg.solve(gram, plain)))
+    return criterion_value(spec, CriterionSpec(CriterionKind.AV, sigma2), design)
 
 
 def a_criterion(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
     """(sigma^2/p) tr[(X^T X)^{-1}]; smaller is better."""
-    gram = _design_gram(spec, design)
-    eigvals = np.linalg.eigvalsh(gram)
-    return float(sigma2 / gram.shape[0] * np.sum(1.0 / eigvals))
+    return criterion_value(spec, CriterionSpec(CriterionKind.A_OPT, sigma2), design)
 
 
 def d_criterion(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
     """sigma^2 |X^T X|^{1/p}; larger is better."""
-    gram = _design_gram(spec, design)
-    sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0:
-        raise EstimabilityError(
-            f"model {spec.label}: singular moment matrix in D-criterion"
-        )
-    return float(sigma2 * np.exp(logdet / gram.shape[0]))
+    return criterion_value(spec, CriterionSpec(CriterionKind.D_OPT, sigma2), design)
 
 
 # ---------------------------------------------------------------------------
@@ -277,36 +312,35 @@ def orthogonal_coding(spec: ModelSpec, m: int) -> OrthogonalCoding:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def member_rows(model: ModelSpec, criterion: CriterionSpec, m: int) -> MemberRows:
+    """The :class:`MemberRows` of one (model, criterion, m), cached."""
+    kind, sigma2 = criterion.kind, criterion.sigma2
+    coding = orthogonal_coding(model, m) if criterion.orthogonal_coding else None
+    if kind in (CriterionKind.A_OPT, CriterionKind.D_OPT):
+        return MemberRows(criterion, None, sigma2, coding, model, m)
+    plain, centered, w = factorial_moments(model, m)
+    if kind is CriterionKind.APV:
+        moment, scale = centered, 2.0 * sigma2 / (w - 1)
+    else:
+        moment, scale = plain, sigma2 / w
+    if coding is not None:  # the coded rows are x T, so their moment is T^T C T
+        moment = coding.apply(coding.apply(moment).T)
+        moment.setflags(write=False)
+    return MemberRows(criterion, moment, scale, coding, model, m)
+
+
 def criterion_value(model: ModelSpec, criterion: CriterionSpec, design: Design) -> float:
     """Evaluate one criterion for one model on a design, honoring the coding."""
-    if not criterion.orthogonal_coding:
-        dispatch = {
-            CriterionKind.APV: apv,
-            CriterionKind.AV: av,
-            CriterionKind.A_OPT: a_criterion,
-            CriterionKind.D_OPT: d_criterion,
-        }
-        return dispatch[criterion.kind](model, design, criterion.sigma2)
-    coding = orthogonal_coding(model, design.m)
-    x = coding.apply(build_matrix(model, design.runs).values)
-    if criterion.kind is CriterionKind.APV:
-        xf = coding.apply(full_factorial_matrix(model, design.m).values)
-        return apv_from_matrices(x, xf, criterion.sigma2)
-    if criterion.kind is CriterionKind.AV:
-        # coded X_f^T X_f = w I, so av reduces to sigma^2 tr[(X^T X)^{-1}]
-        return a_from_matrix(x, criterion.sigma2) * x.shape[1]
-    if criterion.kind is CriterionKind.A_OPT:
-        return a_from_matrix(x, criterion.sigma2)
-    return d_from_matrix(x, criterion.sigma2)
+    rows = member_rows(model, criterion, design.m)
+    x = rows.code(build_matrix(model, design.runs).values)
+    return _single_value(x, rows, f"model {model.label} on this {design.n}-run design")
 
 
-def oriented_value(kind: CriterionKind, value: float) -> float:
-    """Map a criterion value so that smaller is always better."""
-    if kind is CriterionKind.D_OPT:
-        if value <= 0:
-            raise EstimabilityError("non-positive D-criterion value")
-        return 1.0 / value
-    return value
+def oriented_value(kind: CriterionKind, value: float | np.ndarray) -> float | np.ndarray:
+    """Map criterion values so that smaller is always better; 1/D is finite
+    because the kernel rejects an estimable D below the smallest normal float."""
+    return 1.0 / value if kind is CriterionKind.D_OPT else value
 
 
 def compound(spec: CompoundSpec, design: Design) -> float:

@@ -330,8 +330,8 @@ def _matrix_from_positions(spec: ModelSpec, q: np.ndarray) -> DesignMatrix:
 
 
 def term_labels(spec: ModelSpec, m: int) -> tuple[str, ...]:
-    """Column labels without building a full matrix."""
-    return full_factorial_matrix(spec, m).term_labels
+    """Column labels, from the one-row matrix of the identity order."""
+    return _matrix_from_positions(spec, _positions(order_array(m)[:1])).term_labels
 
 
 @lru_cache(maxsize=None)

@@ -19,36 +19,35 @@ solve per candidate.  A swap with delta at or below a fixed tolerance is
 inestimable and scores +inf.
 
 Only the best rank-2 scores are trusted as a ranking: they are re-scored
-exactly (SVD rank screen, Gram, solve) and a swap is accepted only when its
-exact value is strictly below the current one.  The cache is rebuilt from
-scratch after every accepted swap, so rounding error cannot build up.  The
-exact scorer also screens the random starting designs, a few at a time
-until one is estimable, in chunks capped by bytes so memory stays bounded
-whatever N is.
+exactly, by the thin-SVD criterion kernel of :mod:`oofa.criteria` that also
+scores single designs, and a swap is accepted only when its exact value is
+strictly below the current one.  The cache is rebuilt in full after every
+accepted swap, so rounding error cannot build up.  The exact scorer also
+screens the random starting designs, a few at a time until one is
+estimable, in chunks capped by bytes so memory stays bounded whatever N is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .criteria import (
     CompoundSpec,
     CriterionKind,
-    criterion_value,
-    factorial_moments,
-    orthogonal_coding,
+    MemberRows,
+    criterion_values,
+    member_rows,
+    oriented_value,
 )
 from .design import Design
 from .errors import SearchFailureError, ValidationError
-from .fitting import RANK_RTOL
-from .models import full_factorial_matrix
 from .perms import check_capacity, order_array
 
-#: Bytes for one chunk of exact scoring: its gathered (rows, N, p) matrices
-#: plus their (rows, p, p) Grams, in float64.
+#: Bytes for one chunk of exact scoring, counted as its gathered (rows, N, p)
+#: matrices plus one (rows, p, p) factor, in float64; the thin SVD's own
+#: factors are a small multiple of that.
 _CHUNK_BYTES = 8 << 20
 _START_ATTEMPTS = 200
 #: Starting designs scored per call while looking for the first estimable one.
@@ -105,16 +104,6 @@ class SearchResult:
         return self.config.seed
 
 
-class _Member(NamedTuple):
-    """One compound member in the form the scorers use."""
-
-    xf: np.ndarray  # all w candidate rows, coded if the criterion asks
-    moment: np.ndarray | None  # C of tr[M^-1 C]; None for A and D
-    scale: float
-    kind: CriterionKind
-    weight: float
-
-
 def _chunk_rows(n_runs: int, p: int) -> int:
     """Designs per exact-scoring chunk under the ``_CHUNK_BYTES`` budget."""
     return max(1, _CHUNK_BYTES // (8 * p * (n_runs + p)))
@@ -124,27 +113,11 @@ class _Evaluator:
     """Scores batches of designs (as index arrays into the m! pool) exactly."""
 
     def __init__(self, objective: CompoundSpec, m: int):
-        self.objective = objective
-        self.m = m
-        self.members: list[_Member] = []
-        for member in objective.members:
-            xf = full_factorial_matrix(member.model, m).values
-            plain, centered, w = factorial_moments(member.model, m)
-            if member.criterion.orthogonal_coding:
-                xf = orthogonal_coding(member.model, m).apply(xf)
-                plain = xf.T @ xf
-                rows_centered = xf - xf.mean(axis=0)
-                centered = rows_centered.T @ rows_centered
-            kind = member.criterion.kind
-            sigma2 = member.criterion.sigma2
-            if kind is CriterionKind.APV:
-                moment, scale = centered, 2.0 * sigma2 / (w - 1)
-            elif kind is CriterionKind.AV:
-                moment, scale = plain, sigma2 / w
-            else:
-                moment, scale = None, sigma2
-            self.members.append(_Member(xf, moment, scale, kind, member.weight))
-        self._p_max = max(mem.xf.shape[1] for mem in self.members)
+        self.members = [
+            (member_rows(member.model, member.criterion, m), member.weight)
+            for member in objective.members
+        ]
+        self._p_max = max(rows.candidates.shape[1] for rows, _ in self.members)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
         """Compound objective for each row of ``batch`` (+inf if inestimable)."""
@@ -155,50 +128,40 @@ class _Evaluator:
             out[start : start + rows] = self._evaluate_chunk(batch[start : start + rows])
         return out
 
+    def member_values(self, batch: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(values, column ranks) of each member for each row of ``batch``."""
+        return [criterion_values(rows.candidates[batch], rows) for rows, _ in self.members]
+
     def _evaluate_chunk(self, chunk: np.ndarray) -> np.ndarray:
         total = np.zeros(chunk.shape[0])
-        for xf, moment, scale, kind, weight in self.members:
-            x = xf[chunk]  # (B, N, p)
-            p = x.shape[2]
-            svals = np.linalg.svd(x, compute_uv=False)
-            estimable = (x.shape[1] >= p) & (svals[:, -1] > RANK_RTOL * svals[:, 0])
-            gram = np.einsum("bij,bik->bjk", x, x)
-            # swap singular grams for the identity so batched solves never throw
-            gram_safe = np.where(estimable[:, None, None], gram, np.eye(p))
-            if kind in (CriterionKind.APV, CriterionKind.AV):
-                solved = np.linalg.solve(gram_safe, np.broadcast_to(moment, gram.shape))
-                values = scale * np.trace(solved, axis1=1, axis2=2)
-            elif kind is CriterionKind.A_OPT:
-                eigvals = np.linalg.eigvalsh(gram_safe)
-                values = scale / p * np.sum(1.0 / eigvals, axis=1)
-            else:  # D_OPT, oriented as its reciprocal
-                sign, logdet = np.linalg.slogdet(gram_safe)
-                estimable &= sign > 0
-                with np.errstate(over="ignore"):
-                    values = 1.0 / (scale * np.exp(logdet / p))
-            total += weight * np.where(estimable, values, np.inf)
-        return total
+        estimable = np.ones(chunk.shape[0], dtype=bool)
+        for (rows, weight), (values, rank) in zip(self.members, self.member_values(chunk)):
+            estimable &= rank == rows.candidates.shape[1]
+            # inestimable values may be 0, tiny or inf; the mask below replaces them
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                total += weight * oriented_value(rows.criterion.kind, values)
+        return np.where(estimable, total, np.inf)
 
 
 class _MemberSweep:
     """One member's cached products for the swaps out of a fixed design."""
 
-    def __init__(self, member: _Member, idx: np.ndarray):
-        xf = member.xf
+    def __init__(self, rows: MemberRows, idx: np.ndarray):
+        xf = rows.candidates
         p = xf.shape[1]
         _, s, vt = np.linalg.svd(xf[idx], full_matrices=False)
         # whitened rows: x_c^T M^-1 x_o = z_c . z_o, and a_cc = |z_c|^2 is a
         # sum of squares, more accurate than rowsum(X_f M^-1 * X_f)
-        self.member = member
+        self.rows = rows
         self.z = xf @ (vt.T / s)
         self.a = np.einsum("ij,ij->i", self.z, self.z)
-        if member.kind is CriterionKind.D_OPT:
+        if rows.criterion.kind is CriterionKind.D_OPT:
             self.logdet = 2.0 * float(np.sum(np.log(s)))
             return
-        if member.moment is None:  # A: (sigma^2 / p) tr[M^-1]
-            g, self.scale = np.diag(s**-2.0), member.scale / p
+        if rows.moment is None:  # A: (sigma^2 / p) tr[M^-1]
+            g, self.scale = np.diag(s**-2.0), rows.scale / p
         else:  # G = S^-1 V^T C V S^-1, so B = M^-1 C M^-1 acts as z^T G z
-            g, self.scale = (vt / s[:, None]) @ member.moment @ (vt.T / s), member.scale
+            g, self.scale = (vt / s[:, None]) @ rows.moment @ (vt.T / s), rows.scale
         self.q = self.z @ g
         self.b = np.einsum("ij,ij->i", self.q, self.z)
         self.trace = float(np.trace(g))  # tr[M^-1 C]
@@ -211,10 +174,10 @@ class _MemberSweep:
         a_co = self.z @ z_o
         delta = (1.0 + self.a) * (1.0 - a_oo) + a_co**2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.member.kind is CriterionKind.D_OPT:
+            if self.rows.criterion.kind is CriterionKind.D_OPT:
                 logdet = self.logdet + np.log(delta)
                 p = z_o.shape[0]
-                return 1.0 / (self.member.scale * np.exp(logdet / p)), delta
+                return 1.0 / (self.rows.scale * np.exp(logdet / p)), delta
             # Woodbury with capacitance K = [[1 + a_cc, a_co], [a_co, a_oo - 1]],
             # det K = -delta
             b_co = self.q @ z_o
@@ -228,7 +191,8 @@ class _SwapScorer:
 
     def __init__(self, evaluator: _Evaluator, idx: np.ndarray):
         self._idx = idx.copy()
-        self._sweeps = [_MemberSweep(member, self._idx) for member in evaluator.members]
+        self._members = evaluator.members
+        self._sweeps = [_MemberSweep(rows, self._idx) for rows, _ in evaluator.members]
 
     def scores(self, slot: int) -> np.ndarray:
         """Score of each of the w candidates put into ``slot`` (+inf if
@@ -236,9 +200,11 @@ class _SwapScorer:
         out = self._idx[slot]
         total = 0.0
         estimable = True
-        for sweep in self._sweeps:
+        for (_, weight), sweep in zip(self._members, self._sweeps):
             values, delta = sweep.values(out)
-            total = total + sweep.member.weight * values
+            # inestimable swaps may score inf; the mask below replaces them
+            with np.errstate(invalid="ignore"):
+                total = total + weight * values
             estimable = estimable & (delta > _DELTA_TOL)
         return np.where(estimable & np.isfinite(total), total, np.inf)
 
@@ -343,8 +309,5 @@ def exchange_search(config: SearchConfig) -> SearchResult:
         )
     objective, restart, idx, trace = best
     design = Design.from_orders(pool[idx].tolist())
-    member_values = tuple(
-        criterion_value(mem.model, mem.criterion, design)
-        for mem in config.objective.members
-    )
+    member_values = tuple(float(values[0]) for values, _ in evaluator.member_values(idx[None]))
     return SearchResult(design, objective, member_values, trace, restart, config)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -462,6 +463,20 @@ def test_infinite_sigma2_is_rejected(capsys, full_factorial_m4):
         assert err.splitlines()[-1].startswith("oofa: error: ValidationError: sigma2")
 
 
+def test_overflowing_criterion_value_fails_numerically(capsys, full_factorial_m4):
+    for argv in (
+        ["criteria", "--design", full_factorial_m4, "--models", "pwo", "--criterion", "d"],
+        ["design", "--m", "3", "--runs", "8", "--models", "pwo", "--criterion", "d"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, *argv, "--sigma2", "1e308")
+        assert rc == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("# config:")
+        assert lines[1].startswith("oofa: error: EstimabilityError: criterion d with sigma2 = 1e+308")
+
+
 def test_design_too_few_runs(capsys):
     rc, _, err = run_cli(
         capsys, "design", "--m", "3", "--runs", "3", "--models", "pwo",
@@ -479,6 +494,31 @@ def test_design_compound_weights(capsys):
     report = json.loads(out)
     assert report["weights"] == [0.4, 0.6]
     assert set(report["member_values"]) == {"pwo", "rs2"}
+
+
+@pytest.mark.parametrize("weights", ["0.5,nan", "inf,0.5"])
+def test_design_rejects_non_finite_weights(capsys, weights):
+    rc, out, err = run_cli(
+        capsys, "design", "--m", "3", "--runs", "8", "--models", "pwo,rs2",
+        "--weights", weights,
+    )
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1] == "oofa: error: ValidationError: compound weights must be finite"
+
+
+def test_design_zero_weight_member_does_not_warn(capsys):
+    # nn at m = 3 is inestimable on most 8-run designs, so its weight of 0
+    # meets +inf scores throughout the search
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(
+            capsys, "design", "--m", "3", "--runs", "8", "--models", "pwo,nn",
+            "--weights", "1,0", "--restarts", "2", "--seed", "3",
+        )
+    assert rc == 0
+    assert len(err.splitlines()) == 1
+    report = json.loads(out)
+    assert report["objective"] == report["member_values"]["pwo"]
 
 
 # -- surface -----------------------------------------------------------------

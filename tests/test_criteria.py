@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,25 +87,76 @@ def test_intercept_only_matrix_level():
     assert d_from_matrix(x) == pytest.approx(float(n), rel=1e-12)
 
 
-@pytest.mark.parametrize("label", FIVE)
-def test_apv_av_match_oracle_on_fractions(label):
+@pytest.mark.parametrize("label, orth", [
+    pytest.param(label, orth, id=label + ("-orth" if orth else ""))
+    for orth in (False, True)
+    for label in FIVE
+])
+def test_apv_av_match_oracle_on_fractions(label, orth):
     spec = parse_model(label)
-    xf = full_factorial_matrix(spec, 4).values
+    code = orthogonal_coding(spec, 4).apply if orth else np.asarray
+    xf = code(full_factorial_matrix(spec, 4).values)
+
+    def value(kind, design, sigma2=1.0):
+        return criterion_value(spec, CriterionSpec(kind, sigma2, orth), design)
+
     for seed in (1, 2, 3):
         design = _estimable_design(label, 4, 14, seed * 100)
-        x = build_matrix(spec, design.runs).values
-        assert apv(spec, design, 1.7) == pytest.approx(
+        x = code(build_matrix(spec, design.runs).values)
+        assert value(CriterionKind.APV, design, 1.7) == pytest.approx(
             oracle.apv_direct(x, xf, 1.7), rel=1e-10
         )
-        assert av(spec, design, 0.3) == pytest.approx(
+        assert value(CriterionKind.AV, design, 0.3) == pytest.approx(
             oracle.av_direct(x, xf, 0.3), rel=1e-10
         )
-        assert a_criterion(spec, design) == pytest.approx(
+        assert value(CriterionKind.A_OPT, design) == pytest.approx(
             oracle.a_direct(x), rel=1e-10
         )
-        assert d_criterion(spec, design) == pytest.approx(
+        assert value(CriterionKind.D_OPT, design) == pytest.approx(
             oracle.d_direct(x), rel=1e-10
         )
+        if not orth:
+            assert apv(spec, design, 1.7) == value(CriterionKind.APV, design, 1.7)
+            assert av(spec, design, 0.3) == value(CriterionKind.AV, design, 0.3)
+            assert a_criterion(spec, design) == value(CriterionKind.A_OPT, design)
+            assert d_criterion(spec, design) == value(CriterionKind.D_OPT, design)
+
+
+def _exact_det_and_inverse_trace(a):
+    """(det A, tr A^-1) of a square matrix of Fractions, by Gauss-Jordan."""
+    p = len(a)
+    rows = [row[:] + [Fraction(int(i == j)) for j in range(p)] for i, row in enumerate(a)]
+    det = Fraction(1)
+    for c in range(p):
+        pivot_row = next(r for r in range(c, p) if rows[r][c] != 0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            det = -det
+        pivot = rows[c][c]
+        det *= pivot
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(p):
+            if r != c and rows[r][c] != 0:
+                factor = rows[r][c]
+                rows[r] = [v - factor * u for v, u in zip(rows[r], rows[c])]
+    return det, sum(rows[i][p + i] for i in range(p))
+
+
+def test_a_and_d_match_exact_arithmetic_on_an_ill_conditioned_design():
+    """cond(X) = 2.6e5, so any route through X^T X in floating point loses
+    about cond(X)^2 eps; the reference takes the float entries of X exactly."""
+    spec = parse_model("rs2")
+    design = random_design(5, 16, 1704)
+    x = build_matrix(spec, design.runs).values
+    assert np.linalg.cond(x) > 1e5
+    n, p = x.shape
+    exact = [[Fraction(v) for v in row] for row in x.tolist()]
+    gram = [[sum(exact[k][i] * exact[k][j] for k in range(n)) for j in range(p)]
+            for i in range(p)]
+    det, trace = _exact_det_and_inverse_trace(gram)
+    d_exact = math.exp((math.log(det.numerator) - math.log(det.denominator)) / p)
+    assert d_criterion(spec, design) == pytest.approx(d_exact, rel=1e-10)
+    assert a_criterion(spec, design) == pytest.approx(float(trace / p), rel=1e-10)
 
 
 def test_sigma2_scales_linearly():
@@ -295,3 +347,6 @@ def test_compound_validation():
                       CompoundMember(parse_model("rs2"), crit, -0.5)))
     with pytest.raises(ValidationError):
         CompoundSpec.equal_weights([], crit)
+    with pytest.raises(ValidationError, match="finite"):
+        CompoundSpec((CompoundMember(pwo, crit, 0.5),
+                      CompoundMember(parse_model("rs2"), crit, math.nan)))

@@ -99,6 +99,22 @@ def test_full_factorial_equals_build_matrix_of_all_orders(label, m):
     assert fast.term_labels == slow.term_labels
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_term_labels_skip_the_full_factorial(m):
+    for label in ALL_LABELS:
+        spec = parse_model(label)
+        if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
+            with pytest.raises(UnsupportedModelError):
+                term_labels(spec, m)
+            continue
+        cached = full_factorial_matrix.cache_info()
+        labels = term_labels(spec, m)
+        assert full_factorial_matrix.cache_info().currsize == cached.currsize
+        assert full_factorial_matrix.cache_info() == cached
+        # built uncached so the m = 8 matrices do not stay in memory
+        assert labels == full_factorial_matrix.__wrapped__(spec, m).term_labels
+
+
 def test_full_factorial_is_cached():
     spec = parse_model("pwo")
     assert full_factorial_matrix(spec, 4) is full_factorial_matrix(spec, 4)
