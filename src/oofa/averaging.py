@@ -18,6 +18,7 @@ conditional variances only the spread contributes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import SaturatedModelError, ValidationError
 from .fitting import FitResult, akaike_weights, information_criteria
 from .models import full_factorial_matrix
-from .perms import Permutation, enumerate_permutations
+from .perms import Permutation, as_permutations, order_array
 from .ranking import predict_rows, rank_descending
 
 WEIGHT_SUM_TOL = 1e-9
@@ -44,6 +45,8 @@ def combine_predictions(
     w = np.asarray(weights, dtype=float)
     if est.shape != cvar.shape or est.ndim != 2 or w.shape != (est.shape[0],):
         raise ValidationError("estimates, variances and weights have mismatched shapes")
+    if not np.all(np.isfinite(w)):
+        raise ValidationError("model weights must be finite")
     if np.any(w < 0):
         raise ValidationError("model weights must be non-negative")
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
@@ -70,6 +73,8 @@ class CandidateSet:
             raise ValidationError(
                 f"{len(self.weights)} weights for {len(self.fits)} fits"
             )
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValidationError("model weights must be finite")
         if any(w < 0 for w in self.weights):
             raise ValidationError("model weights must be non-negative")
         total = sum(self.weights)
@@ -100,12 +105,13 @@ class CandidateSet:
 class AveragedPrediction:
     """Model-averaged estimate, standard error and rank for every order.
 
+    Row i is the order ``orders[i]`` (a (w, m) array of components 1..m).
     ``model_estimates`` and ``model_ranks`` are (K, w): row k holds the
     point predictions of the k-th candidate fit, and their ranks, from
     which the average was formed.
     """
 
-    perms: tuple[Permutation, ...]
+    orders: np.ndarray
     estimates: np.ndarray
     variances: np.ndarray
     std_errors: np.ndarray
@@ -114,18 +120,22 @@ class AveragedPrediction:
     model_ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.estimates, self.variances, self.std_errors, self.ranks,
-                    self.model_estimates, self.model_ranks):
+        for arr in (self.orders, self.estimates, self.variances, self.std_errors,
+                    self.ranks, self.model_estimates, self.model_ranks):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.perms)
+        return len(self.orders)
+
+    @property
+    def perms(self) -> tuple[Permutation, ...]:
+        """The row orders as :class:`Permutation` objects (built on each access)."""
+        return as_permutations(self.orders.tolist())
 
 
 def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
     """Average the candidate models' predictions over all m! orders."""
     m = candidates.fits[0].m
-    perms = enumerate_permutations(m)
     per_model_est, per_model_var = [], []
     for fit in candidates.fits:
         rows = full_factorial_matrix(fit.spec, m).values
@@ -136,7 +146,7 @@ def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
     avg, var = combine_predictions(model_est, np.array(per_model_var), np.array(candidates.weights))
     model_ranks = np.array([rank_descending(est) for est in model_est])
     return AveragedPrediction(
-        perms, avg, var, np.sqrt(var), rank_descending(avg), model_est, model_ranks
+        order_array(m), avg, var, np.sqrt(var), rank_descending(avg), model_est, model_ranks
     )
 
 

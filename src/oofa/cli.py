@@ -29,15 +29,14 @@ from .dataio import (
     fit_from_dict,
     fit_to_dict,
     read_design,
-    table_to_csv,
-    table_to_json,
     to_json,
     write_design,
+    write_table,
 )
 from .errors import OofaError, ParseError, SaturatedModelError, ValidationError
 from .fitting import Dataset, FitResult, ols_fit
-from .models import Family, ModelSpec, build_matrix, parse_model
-from .perms import check_capacity, enumerate_permutations, standardize
+from .models import Family, ModelSpec, _rs2_columns, build_matrix, parse_model
+from .perms import check_capacity, order_array, standardize
 from .ranking import PredictionTable, predict_all, predict_rows, rank_descending, top_k
 from .search import SearchConfig, exchange_search
 
@@ -52,11 +51,13 @@ def _emit_config(args: argparse.Namespace, keys: list[str]) -> None:
     print(f"# config: {args.command} " + " ".join(parts), file=sys.stderr)
 
 
-def _emit_table(args: argparse.Namespace, header, rows) -> None:
-    if getattr(args, "format", "csv") == "json":
-        print(table_to_json(header, rows))
-    else:
-        sys.stdout.write(table_to_csv(header, rows))
+def _emit_table(args: argparse.Namespace, header, columns) -> None:
+    write_table(sys.stdout, header, columns, getattr(args, "format", "csv"))
+
+
+def _order_labels(orders: np.ndarray, labels) -> np.ndarray:
+    """(w, m) array of the component labels of each order's positions."""
+    return np.array(labels, dtype=object)[orders - 1]
 
 
 def _resolve_model(args: argparse.Namespace) -> ModelSpec:
@@ -120,10 +121,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
             raise ValidationError(f"{len(labels)} labels for m = {args.m}")
     header = [f"pos_{k}" for k in range(1, args.m + 1)]
     named = labels or tuple(str(c) for c in range(1, args.m + 1))
-    rows = [
-        [named[c - 1] for c in perm.order] for perm in enumerate_permutations(args.m)
-    ]
-    _emit_table(args, header, rows)
+    _emit_table(args, header, list(_order_labels(order_array(args.m), named).T))
 
 
 def _cmd_matrix(args: argparse.Namespace) -> None:
@@ -132,7 +130,7 @@ def _cmd_matrix(args: argparse.Namespace) -> None:
     loaded = read_design(args.design)
     design = loaded.design if isinstance(loaded, Dataset) else loaded
     built = build_matrix(spec, design.runs)
-    _emit_table(args, built.term_labels, built.values.tolist())
+    _emit_table(args, built.term_labels, list(built.values.T))
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
@@ -195,19 +193,16 @@ def _cmd_average(args: argparse.Namespace) -> None:
         header += [f"est_{label}", f"rank_{label}"]
     header += ["ma_estimate", "ma_rank", "ma_se"]
 
-    order = range(len(averaged))
+    rows = slice(None)
     if args.top is not None:
         if not 1 <= args.top <= len(averaged):
             raise ValidationError(f"--top must be in 1..{len(averaged)}, got {args.top}")
-        order = np.argsort(averaged.ranks)[: args.top]
-    rows = []
-    for i in order:
-        row: list = [labels[c - 1] for c in averaged.perms[i].order]
-        for _, est, ranks in per_model:
-            row += [est[i], int(ranks[i])]
-        row += [averaged.estimates[i], int(averaged.ranks[i]), averaged.std_errors[i]]
-        rows.append(row)
-    _emit_table(args, header, rows)
+        rows = np.argsort(averaged.ranks)[: args.top]
+    columns = list(_order_labels(averaged.orders[rows], labels).T)
+    for _, est, ranks in per_model:
+        columns += [est[rows], ranks[rows]]
+    columns += [averaged.estimates[rows], averaged.ranks[rows], averaged.std_errors[rows]]
+    _emit_table(args, header, columns)
 
 
 def _cmd_predict(args: argparse.Namespace) -> None:
@@ -221,19 +216,14 @@ def _cmd_predict(args: argparse.Namespace) -> None:
     table = predict_all(fit)
     if args.minimize:
         table = PredictionTable(
-            table.perms,
-            table.estimates.copy(),
-            table.std_errors.copy(),
-            rank_descending(-table.estimates),
+            table.orders, table.estimates, table.std_errors, rank_descending(-table.estimates)
         )
     if args.top is not None:
         table = top_k(table, args.top)
-    labels = fit.data.design.component_labels
-    rows = [
-        [perm.label(labels), table.estimates[i], table.std_errors[i], int(table.ranks[i])]
-        for i, perm in enumerate(table.perms)
-    ]
-    _emit_table(args, ["order", "estimate", "std_error", "rank"], rows)
+    names = _order_labels(table.orders, fit.data.design.component_labels)
+    order_column = [" ".join(row) for row in names.tolist()]
+    _emit_table(args, ["order", "estimate", "std_error", "rank"],
+                [order_column, table.estimates, table.std_errors, table.ranks])
 
 
 def _cmd_criteria(args: argparse.Namespace) -> None:
@@ -243,11 +233,13 @@ def _cmd_criteria(args: argparse.Namespace) -> None:
     design = loaded.design if isinstance(loaded, Dataset) else loaded
     kind = CriterionKind(args.criterion)
     crit = CriterionSpec(kind, args.sigma2, args.orth)
-    rows = [
-        [spec.label, args.criterion, criterion_value(spec, crit, design), ORIENTATION[kind]]
-        for spec in specs
-    ]
-    _emit_table(args, ["model", "criterion", "value", "orientation"], rows)
+    values = [criterion_value(spec, crit, design) for spec in specs]
+    _emit_table(args, ["model", "criterion", "value", "orientation"], [
+        [spec.label for spec in specs],
+        [args.criterion] * len(specs),
+        values,
+        [ORIENTATION[kind]] * len(specs),
+    ])
 
 
 def _cmd_design(args: argparse.Namespace) -> None:
@@ -321,23 +313,17 @@ def _cmd_surface(args: argparse.Namespace) -> None:
     m = data.m
     lo, hi = 2.0 / (m * (m + 1)), 2.0 * m / (m * (m + 1))
     axis = np.linspace(lo, hi, args.grid)
-    grid_rows = np.array(
-        [[p1, p2, p1**2, p2**2, p1 * p2] for p1 in axis for p2 in axis]
-    )
-    eta, _ = predict_rows(fit, grid_rows)
-    best = int(np.argmax(eta))
+    p1, p2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    grid_p = np.column_stack([p1, p2, 1.0 - p1 - p2])
+    eta, _ = predict_rows(fit, np.column_stack(_rs2_columns(grid_p, m)[0]))
+    design_p = np.array([standardize(run).p for run in data.design.runs])
+    eta_design, _ = predict_rows(fit, build_matrix(spec, data.design.runs).values)
 
-    design_rows = build_matrix(spec, data.design.runs).values
-    eta_design, _ = predict_rows(fit, design_rows)
-
-    rows = [
-        [grid_rows[i, 0], grid_rows[i, 1], eta[i], "grid", int(i == best)]
-        for i in range(len(eta))
-    ]
-    for i, run in enumerate(data.design.runs):
-        p = standardize(run).p
-        rows.append([p[0], p[1], eta_design[i], "design", 0])
-    _emit_table(args, ["p1", "p2", "eta", "kind", "best"], rows)
+    p = np.vstack([grid_p, design_p])
+    kind = ["grid"] * len(eta) + ["design"] * len(eta_design)
+    best = (np.arange(len(kind)) == np.argmax(eta)).astype(int)
+    _emit_table(args, ["p1", "p2", "eta", "kind", "best"],
+                [p[:, 0], p[:, 1], np.concatenate([eta, eta_design]), kind, best])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -28,20 +29,13 @@ from .errors import ParseError, ValidationError
 from .fitting import Dataset, FitResult
 from .models import ModelSpec, parse_model, term_labels
 
+#: Rows formatted and written at a time by :func:`write_table`.
+BLOCK_ROWS = 4096
+
 
 def format_float(value: float) -> str:
     """12-significant-digit decimal, locale-independent."""
     return "%.12g" % float(value)
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(value)
 
 
 def _open_source(source) -> tuple[IO[str], bool]:
@@ -168,24 +162,116 @@ def write_design(target, obj: Design | Dataset, run_index: bool = False) -> None
             stream.close()
 
 
+def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: str = "csv") -> None:
+    """Write a table given column by column, as CSV or as JSON text.
+
+    Each column is a 1-D array or sequence whose cells share one type:
+    strings are written as they are, booleans as ``true``/``false``,
+    integers in decimal and floats as :func:`format_float` does in CSV.
+    ``fmt="json"`` writes exactly ``json.dumps(records, indent=2)`` of the
+    list of row objects (keys in header order, NaN as ``null``) and a
+    newline.  Rows are formatted and written BLOCK_ROWS at a time, so the
+    formatted table never sits in memory whole.
+    """
+    header = list(header)
+    if not header or len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
+    if fmt == "json":  # a repeated key keeps its first place and its last value, as in a dict
+        last = {key: j for j, key in enumerate(header)}
+        header = list(last)
+        columns = [columns[last[key]] for key in header]
+    typed = [_typed_column(column) for column in columns]
+    n = len(typed[0][1])
+    if any(len(values) != n for _, values in typed):
+        raise ValueError("table columns differ in length")
+    if fmt == "json":
+        _write_json(stream, header, typed, n)
+    else:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        for start in range(0, n, BLOCK_ROWS):
+            writer.writerows(zip(*_format_block(typed, start, _CSV_CELLS)))
+
+
+def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None:
+    if n == 0:
+        stream.write("[]\n")
+        return
+    fields = ",\n".join(
+        "    " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in header
+    )
+    record = "  {\n" + fields + "\n  }"
+    stream.write("[\n")
+    for start in range(0, n, BLOCK_ROWS):
+        if start:
+            stream.write(",\n")
+        stream.write(",\n".join([record % row for row in zip(*_format_block(typed, start, _JSON_CELLS))]))
+    stream.write("\n]\n")
+
+
+def _typed_column(column) -> tuple[str, object]:
+    """(kind, values): kind 'f', 'i', 'b' or 's' says how the cells are written."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        kind = "i" if column.dtype.kind == "u" else column.dtype.kind
+        return kind, column
+    types = set(map(type, column))
+    if all(issubclass(t, str) for t in types):
+        return "s", column
+    if all(issubclass(t, (bool, np.bool_)) for t in types):
+        return "b", column
+    if all(issubclass(t, (int, np.integer)) for t in types):
+        return "i", column
+    return "f", np.asarray(column, dtype=float)
+
+
+def _format_block(typed: list, start: int, cells: dict) -> list[list[str]]:
+    """Rows start..start+BLOCK_ROWS of every column, formatted, column by column."""
+    out = []
+    for kind, values in typed:
+        block = values[start:start + BLOCK_ROWS]
+        out.append(cells[kind](block.tolist() if isinstance(block, np.ndarray) else block))
+    return out
+
+
+def _json_floats(values: list) -> list[str]:
+    return [_JSON_SPECIAL.get(text, text) for text in map(float.__repr__, values)]
+
+
+_JSON_SPECIAL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOLS = {True: "true", False: "false"}
+_CSV_CELLS = {
+    "f": lambda values: ["%.12g" % v for v in values],
+    "i": lambda values: list(map(str, values)),
+    "b": lambda values: [_BOOLS[v] for v in values],
+    "s": list,
+}
+_JSON_CELLS = {
+    "f": _json_floats,
+    "i": _CSV_CELLS["i"],
+    "b": _CSV_CELLS["b"],
+    "s": lambda values: list(map(encode_basestring_ascii, values)),
+}
+
+
 def table_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render a table as CSV text with 12-significant-digit decimals."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    write_table(out, header, _columns(header, rows))
     return out.getvalue()
 
 
 def table_to_json(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render a table as a JSON list of row objects, keys in header order."""
-    header = list(header)
-    records = [
-        {key: (v if isinstance(v, str) else _json_number(v)) for key, v in zip(header, row)}
-        for row in rows
-    ]
-    return json.dumps(records, indent=2)
+    out = io.StringIO()
+    write_table(out, header, _columns(header, rows), "json")
+    return out.getvalue()[:-1]  # without the newline write_table ends JSON with
+
+
+def _columns(header: Sequence[str], rows: Iterable[Sequence]) -> list:
+    rows = [list(row) for row in rows]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"every row needs {len(header)} cells, one per header name")
+    return [[row[j] for row in rows] for j in range(len(header))]
 
 
 def _json_number(value):

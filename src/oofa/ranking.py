@@ -15,38 +15,44 @@ import numpy as np
 from .errors import ValidationError
 from .fitting import FitResult
 from .models import full_factorial_matrix
-from .perms import Permutation, enumerate_permutations
+from .perms import Permutation, as_permutations, order_array
 
 
 @dataclass(frozen=True)
 class PredictionTable:
     """Per-order estimates with conditional standard errors and ranks.
 
+    Row i is the order ``orders[i]`` (a (w, m) array of components 1..m).
     ``std_errors`` is NaN throughout when the fit has no dispersion estimate
     (saturated or exact fit): point predictions stay valid, their
     uncertainty does not.
     """
 
-    perms: tuple[Permutation, ...]
+    orders: np.ndarray
     estimates: np.ndarray
     std_errors: np.ndarray
     ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.estimates, self.std_errors, self.ranks):
+        for arr in (self.orders, self.estimates, self.std_errors, self.ranks):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.perms)
+        return len(self.orders)
+
+    @property
+    def perms(self) -> tuple[Permutation, ...]:
+        """The row orders as :class:`Permutation` objects (built on each access)."""
+        return as_permutations(self.orders.tolist())
+
+    def take(self, rows) -> "PredictionTable":
+        """The table of the given rows, in the given order."""
+        return PredictionTable(
+            self.orders[rows], self.estimates[rows], self.std_errors[rows], self.ranks[rows]
+        )
 
     def sorted_by_rank(self) -> "PredictionTable":
-        order = np.argsort(self.ranks)
-        return PredictionTable(
-            tuple(self.perms[i] for i in order),
-            self.estimates[order],
-            self.std_errors[order],
-            self.ranks[order],
-        )
+        return self.take(np.argsort(self.ranks))
 
 
 def rank_descending(estimates: np.ndarray) -> np.ndarray:
@@ -82,20 +88,13 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
 
 def predict_all(fit: FitResult) -> PredictionTable:
     """Evaluate the fit at every one of the m! orders, in lexicographic order."""
-    perms = enumerate_permutations(fit.m)
     xf = full_factorial_matrix(fit.spec, fit.m)
     est, var = predict_rows(fit, xf.values)
-    return PredictionTable(perms, est, np.sqrt(var), rank_descending(est))
+    return PredictionTable(order_array(fit.m), est, np.sqrt(var), rank_descending(est))
 
 
 def top_k(table: PredictionTable, k: int) -> PredictionTable:
     """The k best rows, ordered by rank."""
     if not 1 <= k <= len(table):
         raise ValidationError(f"k must be in 1..{len(table)}, got {k}")
-    best = table.sorted_by_rank()
-    return PredictionTable(
-        best.perms[:k],
-        best.estimates[:k].copy(),
-        best.std_errors[:k].copy(),
-        best.ranks[:k].copy(),
-    )
+    return table.take(np.argsort(table.ranks)[:k])

@@ -96,6 +96,9 @@ def test_candidate_set_validation(m3_dataset, m4_dataset):
         CandidateSet(tuple(fits), (0.5, 0.5, 0.5, -0.5))
     with pytest.raises(ValidationError):
         CandidateSet(tuple(fits), (0.3, 0.3, 0.3, 0.3))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            CandidateSet(tuple(fits), (0.5, 0.5, 0.0, bad))
     other = ols_fit(parse_model("pwo"), m4_dataset)
     with pytest.raises(ValidationError, match="share one dataset"):
         CandidateSet((fits[0], other), (0.5, 0.5))
@@ -154,6 +157,8 @@ def test_combine_validation():
         combine_predictions(est, var, np.array([0.5, 0.6]))
     with pytest.raises(ValidationError):
         combine_predictions(est, var, np.array([1.5, -0.5]))
+    with pytest.raises(ValidationError, match="finite"):
+        combine_predictions(est, var, np.array([1.0, np.nan]))
     with pytest.raises(ValidationError):
         combine_predictions(est, np.full((2, 3), -1.0), np.array([0.5, 0.5]))
     with pytest.raises(ValidationError):

@@ -211,6 +211,15 @@ def test_average_weight_errors(capsys, m3_csv):
     assert rc == 2
 
 
+@pytest.mark.parametrize("weights", ["0.5,nan", "inf,0.5"])
+def test_average_rejects_non_finite_weights(capsys, m3_csv, weights):
+    rc, out, err = run_cli(
+        capsys, "average", "--data", m3_csv, "--models", "pwo,rs2", "--weights", weights,
+    )
+    assert rc == 2 and out == ""
+    assert err.splitlines()[1:] == ["oofa: error: ValidationError: model weights must be finite"]
+
+
 def test_average_all_saturated_is_numerical_failure(capsys, m3_csv):
     rc, _, err = run_cli(capsys, "average", "--data", m3_csv, "--models", "nn")
     assert rc == 1
@@ -269,6 +278,17 @@ def test_predict_all_orders_match_fixture(capsys, pwo_fit_json, oracle_fixtures)
         [float(row[1]) for row in rows], pred["estimates"], rtol=1e-10
     )
     assert [int(row[3]) for row in rows] == pred["ranks"]
+
+
+def test_predict_and_average_build_no_permutation_objects(capsys, m3_csv, pwo_fit_json):
+    before = enumerate_permutations.cache_info()
+    for argv in (
+        ["predict", "--fit", pwo_fit_json, "--top", "2"],
+        ["average", "--data", m3_csv, "--models", "pwo,rs2,nn", "--format", "json"],
+    ):
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == 0, argv
+    assert enumerate_permutations.cache_info() == before
 
 
 def test_predict_missing_fit_file(capsys, tmp_path):

@@ -1,0 +1,238 @@
+"""The block table writer against row-by-row reference rendering.
+
+``reference_csv`` and ``reference_json`` format one cell at a time, as the
+table output did before it was written column by column; the block writer
+and everything the CLI prints through it must match them byte for byte.
+"""
+
+import csv
+import io
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oofa import (
+    CandidateSet, Dataset, average_predictions, ols_fit, parse_model, predict_all, top_k,
+)
+from oofa import dataio
+from oofa.cli import _weighted_candidates, main
+from oofa.dataio import fit_from_dict, read_design, table_to_csv, table_to_json, write_table
+from oofa.ranking import PredictionTable, rank_descending
+
+BLOCK_SIZES = (1, 3, dataio.BLOCK_ROWS)
+
+
+# -- reference rendering -------------------------------------------------------
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.12g" % float(value)
+
+
+def _json_number(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    value = float(value)
+    return None if math.isnan(value) else value
+
+
+def reference_csv(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    return out.getvalue()
+
+
+def reference_json(header, rows) -> str:
+    records = [
+        {key: (v if isinstance(v, str) else _json_number(v)) for key, v in zip(header, row)}
+        for row in rows
+    ]
+    return json.dumps(records, indent=2)
+
+
+# -- generated tables ----------------------------------------------------------
+
+TRICKY_TEXT = ["", ",", '"', "\n", "\r\n", "a,b", 'say "hi"', "é", "☃ snow", " ", "%s", "%", "\\"]
+TRICKY_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                 1 / 3, 123456789012345.0, 1e300]
+
+CELLS = {
+    "str": st.one_of(st.sampled_from(TRICKY_TEXT), st.text()),
+    "float": st.one_of(st.sampled_from(TRICKY_FLOATS), st.floats()),
+    "int": st.integers(),
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "bool": st.booleans(),
+}
+AS_ARRAY = {"str": object, "float": float, "int64": np.int64, "bool": bool}
+
+
+@st.composite
+def tables(draw):
+    """(header, columns as lists, columns as arrays where the kind allows)."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=5))
+    n = draw(st.integers(0, 10))
+    header = draw(st.lists(st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=4)),
+                           min_size=len(kinds), max_size=len(kinds)))
+    columns = [draw(st.lists(CELLS[kind], min_size=n, max_size=n)) for kind in kinds]
+    arrays = [np.array(col, dtype=AS_ARRAY[kind]) if kind in AS_ARRAY else col
+              for kind, col in zip(kinds, columns)]
+    return header, columns, arrays
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_block_writer_matches_row_by_row_rendering(table):
+    header, columns, arrays = table
+    rows = [list(row) for row in zip(*columns)]
+    want_csv, want_json = reference_csv(header, rows), reference_json(header, rows)
+    for size in BLOCK_SIZES:
+        with mock.patch.object(dataio, "BLOCK_ROWS", size):
+            assert table_to_csv(header, rows) == want_csv
+            assert table_to_json(header, rows) == want_json
+            for cols in (columns, arrays):
+                out = io.StringIO()
+                write_table(out, header, cols)
+                assert out.getvalue() == want_csv
+                out = io.StringIO()
+                write_table(out, header, cols, "json")
+                assert out.getvalue() == want_json + "\n"
+
+
+def test_numpy_scalars_in_rows_render_like_python_values():
+    rows = [[np.float64(0.1), np.int64(3), np.float32(2.5), np.bool_(True), np.str_("x")]]
+    header = ["a", "b", "c", "d", "e"]
+    assert table_to_csv(header, rows) == reference_csv(header, rows)
+    assert table_to_json(header, rows) == reference_json(header, rows)
+
+
+def test_malformed_tables_are_rejected():
+    with pytest.raises(ValueError):
+        write_table(io.StringIO(), ["a", "b"], [[1.0]])
+    with pytest.raises(ValueError):
+        write_table(io.StringIO(), ["a", "b"], [[1.0], [1.0, 2.0]])
+    with pytest.raises(ValueError):
+        table_to_csv(["a", "b"], [[1.0]])
+
+
+# -- CLI output against the reference rendering of in-process tables ------------
+
+
+def _stdout(capsys, argv):
+    assert main(list(argv)) == 0, argv
+    return capsys.readouterr().out
+
+
+def _render(argv, header, rows) -> str:
+    if "json" in argv:
+        return reference_json(header, rows) + "\n"
+    return reference_csv(header, rows)
+
+
+@pytest.fixture(scope="module")
+def fit_files(tmp_path_factory, data_dir):
+    """Fit JSON files: pwo on m = 4 blocked data, nn saturated on m = 3."""
+    root = tmp_path_factory.mktemp("fits")
+    paths = {}
+    for name, model, data, extra in (("pwo4", "pwo", "m4_n24_block.csv", ["--block"]),
+                                     ("nn3", "nn", "m3_runs.csv", [])):
+        paths[name] = str(root / f"{name}.json")
+        argv = ["fit", "--model", model, "--data", str(data_dir / data), "--out", paths[name]]
+        with mock.patch("sys.stdout", io.StringIO()), mock.patch("sys.stderr", io.StringIO()):
+            assert main(argv + extra) == 0
+    return paths
+
+
+@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS])
+@pytest.mark.parametrize("fit_name, extra", [
+    ("pwo4", []),
+    ("pwo4", ["--format", "json"]),
+    ("pwo4", ["--top", "5"]),
+    ("pwo4", ["--minimize", "--top", "7", "--format", "json"]),
+    ("pwo4", ["--minimize"]),
+    ("nn3", []),
+    ("nn3", ["--format", "json"]),
+])
+def test_predict_output_is_the_reference_rendering(capsys, monkeypatch, fit_files, block,
+                                                   fit_name, extra):
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", block)
+    argv = ["predict", "--fit", fit_files[fit_name], *extra]
+    with open(fit_files[fit_name], encoding="utf-8") as handle:
+        fit = fit_from_dict(json.load(handle))
+    table = predict_all(fit)
+    if "--minimize" in extra:
+        table = PredictionTable(table.orders, table.estimates, table.std_errors,
+                                rank_descending(-table.estimates))
+    if "--top" in extra:
+        table = top_k(table, int(extra[extra.index("--top") + 1]))
+    if fit_name == "nn3":
+        assert np.all(np.isnan(table.std_errors))
+    labels = fit.data.design.component_labels
+    rows = [[perm.label(labels), table.estimates[i], table.std_errors[i], int(table.ranks[i])]
+            for i, perm in enumerate(table.perms)]
+    want = _render(argv, ["order", "estimate", "std_error", "rank"], rows)
+    assert _stdout(capsys, argv) == want
+
+
+@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS])
+@pytest.mark.parametrize("data, models, extra", [
+    ("m3_runs.csv", "pwo,tpwo:invh,nn,rs2", []),
+    ("m3_runs.csv", "pwo,rs2", ["--format", "json", "--weights", "0.25,0.75"]),
+    ("m4_n24_block.csv", "pwo,cp,rs2", ["--block", "--top", "10"]),
+    ("m4_n24_block.csv", "pwo,cp,rs2", ["--block", "--format", "json"]),
+    ("m5_n40_block.csv", "pwo,tpwo:invh", ["--block", "--top", "9", "--format", "json"]),
+])
+def test_average_output_is_the_reference_rendering(capsys, monkeypatch, data_dir, block,
+                                                   data, models, extra):
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", block)
+    argv = ["average", "--data", str(data_dir / data), "--models", models, *extra]
+    loaded = read_design(data_dir / data)
+    if "--block" not in extra:
+        loaded = Dataset(loaded.design.without_block(), loaded.response)
+    fits = [ols_fit(parse_model(label), loaded) for label in models.split(",")]
+    if "--weights" in extra:
+        weights = [float(w) for w in extra[extra.index("--weights") + 1].split(",")]
+        candidates = CandidateSet(tuple(fits), tuple(weights))
+    else:
+        candidates, _ = _weighted_candidates(fits, "akaike")
+    averaged = average_predictions(candidates)
+    by_fit = {id(fit): (est, ranks) for fit, est, ranks in
+              zip(candidates.fits, averaged.model_estimates, averaged.model_ranks)}
+    for fit in fits:
+        if id(fit) not in by_fit:
+            table = predict_all(fit)
+            by_fit[id(fit)] = (table.estimates, table.ranks)
+
+    header = [f"pos_{k}" for k in range(1, loaded.m + 1)]
+    for fit in fits:
+        header += [f"est_{fit.spec.label}", f"rank_{fit.spec.label}"]
+    header += ["ma_estimate", "ma_rank", "ma_se"]
+    order = range(len(averaged))
+    if "--top" in extra:
+        order = np.argsort(averaged.ranks)[: int(extra[extra.index("--top") + 1])]
+    labels = loaded.design.component_labels
+    perms = averaged.perms
+    rows = []
+    for i in order:
+        row = [labels[c - 1] for c in perms[i].order]
+        for fit in fits:
+            est, ranks = by_fit[id(fit)]
+            row += [est[i], int(ranks[i])]
+        row += [averaged.estimates[i], int(averaged.ranks[i]), averaged.std_errors[i]]
+        rows.append(row)
+    assert _stdout(capsys, argv) == _render(argv, header, rows)
