@@ -67,7 +67,6 @@ from .perms import (
     StdPositions,
     check_capacity,
     enumerate_permutations,
-    signed_distance,
     standardize,
 )
 from .ranking import PredictionTable, predict_all, predict_rows, rank_descending, top_k
@@ -129,7 +128,6 @@ __all__ = [
     "random_design",
     "rank_descending",
     "read_design",
-    "signed_distance",
     "standardize",
     "term_labels",
     "top_k",

@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import SaturatedModelError, ValidationError
 from .fitting import FitResult, akaike_weights, information_criteria
-from .models import full_factorial_matrix
 from .perms import Permutation, as_permutations, order_array
-from .ranking import predict_rows, rank_descending
+from .ranking import predict_factorial, rank_descending
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -138,8 +137,7 @@ def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
     m = candidates.fits[0].m
     per_model_est, per_model_var = [], []
     for fit in candidates.fits:
-        rows = full_factorial_matrix(fit.spec, m).values
-        est, var = predict_rows(fit, rows)
+        est, var = predict_factorial(fit)
         per_model_est.append(est)
         per_model_var.append(var)
     model_est = np.array(per_model_est)

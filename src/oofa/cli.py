@@ -35,7 +35,7 @@ from .dataio import (
 )
 from .errors import OofaError, ParseError, SaturatedModelError, ValidationError
 from .fitting import Dataset, FitResult, ols_fit
-from .models import Family, ModelSpec, _rs2_columns, build_matrix, parse_model
+from .models import Family, ModelSpec, build_matrix, parse_model, rs2_rows
 from .perms import check_capacity, order_array, standardize
 from .ranking import PredictionTable, predict_all, predict_rows, rank_descending, top_k
 from .search import SearchConfig, exchange_search
@@ -315,7 +315,7 @@ def _cmd_surface(args: argparse.Namespace) -> None:
     axis = np.linspace(lo, hi, args.grid)
     p1, p2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     grid_p = np.column_stack([p1, p2, 1.0 - p1 - p2])
-    eta, _ = predict_rows(fit, np.column_stack(_rs2_columns(grid_p, m)[0]))
+    eta, _ = predict_rows(fit, rs2_rows(grid_p))
     design_p = np.array([standardize(run).p for run in data.design.runs])
     eta_design, _ = predict_rows(fit, build_matrix(spec, data.design.runs).values)
 

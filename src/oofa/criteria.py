@@ -41,7 +41,7 @@ import numpy as np
 from .design import Design
 from .errors import EstimabilityError, ValidationError
 from .fitting import RANK_RTOL
-from .models import ModelSpec, build_matrix, full_factorial_matrix
+from .models import ModelSpec, build_matrix, factorial_blocks, full_factorial_matrix
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -205,14 +205,33 @@ def _single_value(x: np.ndarray, rows: MemberRows, what: str = "design matrix") 
 def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(X_f^T X_f, X_f^T (I - J/w) X_f, w), computed once per (model, m).
 
+    X_f is streamed in blocks of rows (:func:`~oofa.models.factorial_blocks`)
+    and never held whole.  The centered moment is accumulated about a fixed
+    shift c, the column means of the first block, which samples all orders:
+    X_f^T (I - J/w) X_f = (X_f - 1c)^T (X_f - 1c) - s s^T / w, with s the
+    column sums of X_f - 1c.  Summing about c rather than 0 keeps the
+    cancellation small: X_f^T X_f - s s^T / w with s the plain column sums
+    loses about two digits for rs2 and rs3.  s leaves out the first block,
+    which sums to zero about its own mean up to rounding, so that a single
+    block gives exactly the Gram of the centered rows.
+
     Immutable after creation; concurrent readers are safe (worst case two
     threads build the same entry once).
     """
-    xf = full_factorial_matrix(spec, m).values
-    w = xf.shape[0]
-    plain = xf.T @ xf
-    centered_rows = xf - xf.mean(axis=0)
-    centered = centered_rows.T @ centered_rows
+    p = spec.param_count(m)
+    plain, shifted, sums, w = np.zeros((p, p)), np.zeros((p, p)), np.zeros(p), 0
+    shift = None
+    for _, block in factorial_blocks(spec, m):
+        plain += block.T @ block
+        if shift is None:
+            shift = block.mean(axis=0)
+            block -= shift
+        else:
+            block -= shift
+            sums += block.sum(axis=0)
+        shifted += block.T @ block
+        w += len(block)
+    centered = shifted - np.outer(sums, sums) / w
     plain.setflags(write=False)
     centered.setflags(write=False)
     return plain, centered, w

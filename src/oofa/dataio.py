@@ -371,6 +371,9 @@ def fit_from_dict(payload: dict) -> FitResult:
     if fit.xtx_inv.shape != (p, p):
         shape = " x ".join(str(k) for k in fit.xtx_inv.shape)
         raise ParseError(f"fit JSON xtx_inv is {shape or 'a scalar'}, expected {p} x {p}")
+    if not (np.all(np.isfinite(fit.coefficients)) and np.all(np.isfinite(fit.xtx_inv))
+            and math.isfinite(fit.rss)):
+        raise ParseError("fit JSON has a coefficient, rss or xtx_inv entry that is not finite")
     return fit
 
 

@@ -132,8 +132,9 @@ def ols_fit(spec: ModelSpec, data: Dataset) -> FitResult:
     """Least-squares fit of one model family to a dataset.
 
     Raises :class:`EstimabilityError` (naming the dependent columns) when
-    the matrix is rank-deficient.  A saturated fit is returned, with the
-    unavailable summaries set to ``None``.
+    the matrix is rank-deficient, and when the response is so large that
+    the fit overflows.  A saturated fit is returned, with the unavailable
+    summaries set to ``None``.
     """
     x, labels, n_block_cols = assemble_matrix(spec, data)
     y = data.response
@@ -153,10 +154,11 @@ def ols_fit(spec: ModelSpec, data: Dataset) -> FitResult:
             + ", ".join(dependent),
             dependent_columns=dependent,
         )
-    beta = vt.T @ ((u.T @ y) / s)
-    resid = y - x @ beta
-    rss = float(max(resid @ resid, 0.0))
-    xtx_inv = (vt.T / s**2) @ vt
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        beta = vt.T @ ((u.T @ y) / s)
+        resid = y - x @ beta
+        rss = float(max(resid @ resid, 0.0))
+        xtx_inv = (vt.T / s**2) @ vt
     df = n - rank
     sigma2 = rmse = log_lik = aic = bic = None
     if df > 0:
@@ -166,6 +168,13 @@ def ols_fit(spec: ModelSpec, data: Dataset) -> FitResult:
             log_lik = -(n / 2.0) * (math.log(2.0 * math.pi * rss / n) + 1.0)
             aic = -2.0 * log_lik + 2.0 * (rank + 1)
             bic = -2.0 * log_lik + math.log(n) * (rank + 1)
+    summaries = (beta, rss, xtx_inv, log_lik, aic, bic)
+    if not all(np.all(np.isfinite(v)) for v in summaries if v is not None):
+        raise EstimabilityError(
+            f"model {spec.label} overflows on this response (a coefficient, the rss or "
+            "an information criterion is not finite); rescale y, for example divide "
+            "it by a power of ten"
+        )
     return FitResult(
         spec=spec,
         data=data,

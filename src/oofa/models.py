@@ -50,14 +50,18 @@ quadratic before asymmetric-cubic before cubic.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import EstimabilityError, UnsupportedModelError, ValidationError
 from .perms import Permutation, as_permutations, order_array
+
+#: Rows per block when the m! full factorial is streamed (:func:`factorial_blocks`).
+BLOCK_ROWS = 4096
 
 
 class Family(str, enum.Enum):
@@ -223,70 +227,109 @@ def _positions(orders: np.ndarray) -> np.ndarray:
     return q
 
 
-def _pair_indices(m: int, c_max: int, d_max: int) -> list[tuple[int, int]]:
-    return [(c, d) for c in range(1, c_max + 1) for d in range(c + 1, d_max + 1)]
+def _pairs(c_max: int, d_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (c, d) of the pairs c < d with c < c_max and d < d_max, in
+    lexicographic order."""
+    c, d = np.triu_indices(d_max, 1)
+    keep = c < c_max
+    return c[keep], d[keep]
 
 
-def _pwo_columns(q: np.ndarray, m: int, z: np.ndarray | None):
-    cols, labels = [], []
-    for c, d in _pair_indices(m, m - 1, m):
-        diff = q[:, d - 1] - q[:, c - 1]
+def _triples(m: int) -> np.ndarray:
+    """0-based (c, d, e) rows of the RS3 triple products: c < d < e with
+    c < m - 3 and d < m - 1, in lexicographic order."""
+    rows = [t for t in itertools.combinations(range(m), 3) if t[0] < m - 3 and t[1] < m - 1]
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+def _check_supported(spec: ModelSpec, m: int) -> None:
+    if m < 2:
+        raise ValidationError(f"model matrices need m >= 2, got m = {m}")
+    if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
+        raise UnsupportedModelError(
+            f"{spec.label} is undefined for m = {m}: no third-order terms exist"
+        )
+
+
+@lru_cache(maxsize=None)
+def term_labels(spec: ModelSpec, m: int) -> tuple[str, ...]:
+    """Column labels of the family at m, in column order."""
+    _check_supported(spec, m)
+    f = spec.family
+    labels = ["b0"] if spec.include_intercept else []
+    if f in (Family.PWO, Family.TPWO):
+        labels += [f"x_{c + 1}_{d + 1}" for c, d in zip(*_pairs(m - 1, m))]
+    elif f is Family.CP:
+        labels += [f"tau_{c}_{j}" for c in range(1, m) for j in range(1, m)]
+    elif f is Family.NN:
+        labels += [f"w_{c + 1}_{d + 1}" for c, d in zip(*np.nonzero(~np.eye(m, dtype=bool)))]
+    elif f is Family.RS2:
+        labels += [f"p_{c}" for c in range(1, m)] + [f"p_{c}^2" for c in range(1, m)]
+        labels += [f"p_{c + 1}*p_{d + 1}" for c, d in zip(*_pairs(m - 2, m - 1))]
+    else:
+        labels += [f"p_{c}" for c in range(1, m + 1)]
+        labels += [f"p_{c + 1}*p_{d + 1}" for c, d in zip(*_pairs(m - 2, m))]
+        if f is Family.RS3:
+            labels += [f"a_{c + 1}_{d + 1}" for c, d in zip(*_pairs(m - 2, m - 1))]
+        labels += ["p_{}*p_{}*p_{}".format(*(t + 1)) for t in _triples(m)]
+    return tuple(labels)
+
+
+def _surface_groups(family: Family, p: np.ndarray) -> list[np.ndarray]:
+    """RS2, RS3 or RS3_SPECIAL columns at the standardized positions whose
+    row c-1 holds p_c (an (m, n) array), as (k, n) groups in column order."""
+    m = len(p)
+    if family is Family.RS2:
+        c, d = _pairs(m - 2, m - 1)
+        return [p[:m - 1], p[:m - 1] ** 2, p[c] * p[d]]
+    c, d = _pairs(m - 2, m)
+    groups = [p, p[c] * p[d]]
+    if family is Family.RS3:
+        c, d = _pairs(m - 2, m - 1)
+        groups.append(p[c] * p[d] * (p[c] - p[d]))
+    t = _triples(m)
+    groups.append(p[t[:, 0]] * p[t[:, 1]] * p[t[:, 2]])
+    return groups
+
+
+def _model_rows(spec: ModelSpec, q: np.ndarray) -> np.ndarray:
+    """(n, p) model rows of the runs whose positions q_c are the rows of ``q``."""
+    n, m = q.shape
+    _check_supported(spec, m)
+    f = spec.family
+    q = np.ascontiguousarray(q.T)  # row c-1 holds q_c: the gathers below copy whole rows
+    groups = [np.ones((1, n))] if spec.include_intercept else []
+    if f in (Family.PWO, Family.TPWO):
+        c, d = _pairs(m - 1, m)
+        diff = q[d] - q[c]
         sign = np.where(diff > 0, 1.0, -1.0)
-        if z is None:
-            cols.append(sign)
-        else:
-            cols.append(sign * z[np.abs(diff).astype(np.intp) - 1])
-        labels.append(f"x_{c}_{d}")
-    return cols, labels
+        if f is Family.TPWO:
+            sign *= _taper_table(spec.taper, m)[np.abs(diff).astype(np.intp) - 1]
+        groups.append(sign)
+    elif f is Family.CP:
+        groups.append((q[:m - 1, None] == np.arange(1, m)[:, None]).reshape(-1, n))
+    elif f is Family.NN:
+        c, d = np.nonzero(~np.eye(m, dtype=bool))
+        groups.append(q[d] - q[c] == 1)
+    else:
+        groups += _surface_groups(f, q * (2.0 / (m * (m + 1))))
+    return _rows_from_groups(groups)
 
 
-def _cp_columns(q: np.ndarray, m: int):
-    cols, labels = [], []
-    for c in range(1, m):
-        for j in range(1, m):
-            cols.append((q[:, c - 1] == j).astype(float))
-            labels.append(f"tau_{c}_{j}")
-    return cols, labels
+def rs2_rows(p: np.ndarray) -> np.ndarray:
+    """RS2 model rows at standardized positions ``p`` (n, m) that need not
+    come from an order, such as the points of a response-surface grid."""
+    return _rows_from_groups(_surface_groups(Family.RS2, np.ascontiguousarray(p.T)))
 
 
-def _rs2_columns(p: np.ndarray, m: int):
-    cols = [p[:, c - 1] for c in range(1, m)]
-    labels = [f"p_{c}" for c in range(1, m)]
-    cols += [p[:, c - 1] ** 2 for c in range(1, m)]
-    labels += [f"p_{c}^2" for c in range(1, m)]
-    for c, d in _pair_indices(m, m - 2, m - 1):
-        cols.append(p[:, c - 1] * p[:, d - 1])
-        labels.append(f"p_{c}*p_{d}")
-    return cols, labels
-
-
-def _rs3_columns(p: np.ndarray, m: int, special: bool):
-    cols = [p[:, c - 1] for c in range(1, m + 1)]
-    labels = [f"p_{c}" for c in range(1, m + 1)]
-    for c, d in _pair_indices(m, m - 2, m):
-        cols.append(p[:, c - 1] * p[:, d - 1])
-        labels.append(f"p_{c}*p_{d}")
-    if not special:
-        for c, d in _pair_indices(m, m - 2, m - 1):
-            cols.append(p[:, c - 1] * p[:, d - 1] * (p[:, c - 1] - p[:, d - 1]))
-            labels.append(f"a_{c}_{d}")
-    for c in range(1, m - 2):
-        for d in range(c + 1, m):
-            for e in range(d + 1, m + 1):
-                cols.append(p[:, c - 1] * p[:, d - 1] * p[:, e - 1])
-                labels.append(f"p_{c}*p_{d}*p_{e}")
-    return cols, labels
-
-
-def _nn_columns(q: np.ndarray, m: int):
-    cols, labels = [], []
-    for c in range(1, m + 1):
-        for d in range(1, m + 1):
-            if c == d:
-                continue
-            cols.append((q[:, d - 1] - q[:, c - 1] == 1).astype(float))
-            labels.append(f"w_{c}_{d}")
-    return cols, labels
+def _rows_from_groups(groups: list[np.ndarray]) -> np.ndarray:
+    """The (k, n) column groups, transposed and side by side, in one new
+    C-contiguous (n, p) float array.  The layout matters: a row-wise product
+    with another layout can take a different BLAS kernel and change the last
+    bits of predictions."""
+    out = np.empty((groups[0].shape[1], sum(len(g) for g in groups)))
+    np.concatenate(groups, axis=0, out=out.T)
+    return out
 
 
 def build_matrix(spec: ModelSpec, runs: Sequence[Permutation]) -> DesignMatrix:
@@ -302,36 +345,33 @@ def build_matrix(spec: ModelSpec, runs: Sequence[Permutation]) -> DesignMatrix:
 
 def _matrix_from_positions(spec: ModelSpec, q: np.ndarray) -> DesignMatrix:
     """The model matrix of the runs whose positions q_c are the rows of ``q``."""
-    n, m = q.shape
-    if m < 2:
-        raise ValidationError(f"model matrices need m >= 2, got m = {m}")
-    if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
-        raise UnsupportedModelError(
-            f"{spec.label} is undefined for m = {m}: no third-order terms exist"
-        )
-    if spec.family in (Family.PWO, Family.TPWO):
-        z = None if spec.family is Family.PWO else _taper_table(spec.taper, m)
-        cols, labels = _pwo_columns(q, m, z)
-    elif spec.family is Family.CP:
-        cols, labels = _cp_columns(q, m)
-    elif spec.family is Family.RS2:
-        cols, labels = _rs2_columns(q * (2.0 / (m * (m + 1))), m)
-    elif spec.family in (Family.RS3, Family.RS3_SPECIAL):
-        cols, labels = _rs3_columns(
-            q * (2.0 / (m * (m + 1))), m, spec.family is Family.RS3_SPECIAL
-        )
-    else:
-        cols, labels = _nn_columns(q, m)
-    if spec.include_intercept:
-        cols.insert(0, np.ones(n))
-        labels.insert(0, "b0")
-    values = np.column_stack(cols)
-    return DesignMatrix(values, tuple(labels), m, spec)
+    values = _model_rows(spec, q)
+    return DesignMatrix(values, term_labels(spec, q.shape[1]), q.shape[1], spec)
 
 
-def term_labels(spec: ModelSpec, m: int) -> tuple[str, ...]:
-    """Column labels, from the one-row matrix of the identity order."""
-    return _matrix_from_positions(spec, _positions(order_array(m)[:1])).term_labels
+def factorial_blocks(spec: ModelSpec, m: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The model rows of all m! orders, at most :data:`BLOCK_ROWS` at a time,
+    as (rows, block) pairs: ``block`` is C-contiguous and holds the rows
+    ``rows`` of the full factorial (:func:`full_factorial_matrix`).
+
+    With k blocks, block b holds the orders b, b + k, b + 2k, ..., so every
+    block is a sample spread over all orders, and a single block is the
+    whole matrix.  Consumers that reduce over the orders (moments,
+    predictions) hold O(BLOCK_ROWS * p) model rows instead of m! x p.
+    """
+    q = _factorial_positions(m)
+    count = -(-len(q) // BLOCK_ROWS)
+    for b in range(count):
+        rows = slice(b, None, count)
+        yield rows, _model_rows(spec, q[rows])
+
+
+@lru_cache(maxsize=None)
+def _factorial_positions(m: int) -> np.ndarray:
+    """Positions of all m! orders (rows of :func:`~oofa.perms.order_array`), cached."""
+    q = _positions(order_array(m))
+    q.setflags(write=False)
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +380,7 @@ def full_factorial_matrix(spec: ModelSpec, m: int) -> DesignMatrix:
 
     Cached per (spec, m): safe because the result is immutable.
     """
-    return _matrix_from_positions(spec, _positions(order_array(m)))
+    return _matrix_from_positions(spec, _factorial_positions(m))
 
 
 def pwo_to_ltpwo_maps(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -148,13 +148,6 @@ def standardize(perm: Permutation) -> StdPositions:
     return StdPositions(tuple(q * scale for q in perm.positions()))
 
 
-def signed_distance(perm: Permutation, c: int, d: int) -> int:
-    """q_d - q_c: positive iff component c precedes component d."""
-    if c == d:
-        raise ValidationError(f"signed distance needs two distinct components, got c = d = {c}")
-    return perm.position_of(d) - perm.position_of(c)
-
-
 def as_permutations(runs: Iterable) -> tuple[Permutation, ...]:
     """Coerce an iterable of orderings (tuples or Permutations) to runs."""
     out = tuple(r if isinstance(r, Permutation) else Permutation(tuple(r)) for r in runs)

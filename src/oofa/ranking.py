@@ -9,12 +9,13 @@ so ranks are always a permutation of 1..m!.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import EstimabilityError, ValidationError
 from .fitting import FitResult
-from .models import full_factorial_matrix
+from .models import factorial_blocks
 from .perms import Permutation, as_permutations, order_array
 
 
@@ -70,7 +71,8 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
     ``model_rows`` holds model-column covariates only; block columns enter
     as zeros, so the full fitted covariance (which carries the
     model-times-block correlations) still applies.  Variances are NaN when
-    the fit has no dispersion estimate.
+    the fit has no dispersion estimate.  Raises EstimabilityError when a
+    prediction or variance overflows.
     """
     rows = np.asarray(model_rows, dtype=float)
     k = fit.n_model_cols
@@ -78,18 +80,34 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
         raise ValidationError(
             f"rows have {rows.shape[1]} columns, fit has {k} model columns"
         )
-    est = rows @ fit.model_coefficients
-    if fit.sigma2_hat is None:
-        return est, np.full(len(rows), np.nan)
-    cov_model = fit.xtx_inv[:k, :k]
-    var = fit.sigma2_hat * ((rows @ cov_model) * rows).sum(axis=1)
-    return est, np.maximum(var, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = rows @ fit.model_coefficients
+        if fit.sigma2_hat is None:
+            var = np.full(len(rows), np.nan)
+        else:
+            cov_model = fit.xtx_inv[:k, :k]
+            var = np.maximum(fit.sigma2_hat * ((rows @ cov_model) * rows).sum(axis=1), 0.0)
+    if not (np.all(np.isfinite(est)) and (fit.sigma2_hat is None or np.all(np.isfinite(var)))):
+        raise EstimabilityError(
+            f"predictions of model {fit.spec.label} overflow; rescale y, for example "
+            "divide it by a power of ten"
+        )
+    return est, var
+
+
+def predict_factorial(fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`predict_rows` at every one of the m! orders, in lexicographic
+    order, one block of model rows at a time."""
+    w = factorial(fit.m)
+    est, var = np.empty(w), np.empty(w)
+    for rows, block in factorial_blocks(fit.spec, fit.m):
+        est[rows], var[rows] = predict_rows(fit, block)
+    return est, var
 
 
 def predict_all(fit: FitResult) -> PredictionTable:
     """Evaluate the fit at every one of the m! orders, in lexicographic order."""
-    xf = full_factorial_matrix(fit.spec, fit.m)
-    est, var = predict_rows(fit, xf.values)
+    est, var = predict_factorial(fit)
     return PredictionTable(order_array(fit.m), est, np.sqrt(var), rank_descending(est))
 
 

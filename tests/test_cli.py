@@ -336,6 +336,69 @@ def test_predict_rejects_wrong_coefficient_count(capsys, pwo_fit_json, tmp_path)
     assert "5 coefficients" in err and "4 terms" in err
 
 
+# -- overflowing responses ---------------------------------------------------
+
+
+@pytest.fixture
+def huge_csv(m3_csv, tmp_path):
+    """m3_runs.csv with finite responses near +-1e308."""
+    rows = csv_rows(open(m3_csv, encoding="utf-8").read())
+    path = tmp_path / "huge.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rows[0])
+        for k, row in enumerate(rows[1:]):
+            writer.writerow(row[:-1] + [repr((-1) ** k * (0.5 + 0.1 * (k % 5)) * 1.5e308)])
+    return str(path)
+
+
+def assert_overflow_error(rc, out, err, model):
+    assert rc == 1 and out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("# config:")]
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"oofa: error: EstimabilityError: model {model} overflows")
+    assert "rescale y" in lines[0]
+
+
+@pytest.mark.parametrize("model", ["pwo", "cp"])
+def test_fit_overflow_is_one_error_line(capsys, huge_csv, model):
+    rc, out, err = run_cli(capsys, "fit", "--model", model, "--data", huge_csv)
+    assert_overflow_error(rc, out, err, model)
+
+
+def test_average_overflow_names_the_cause(capsys, huge_csv):
+    rc, out, err = run_cli(capsys, "average", "--data", huge_csv, "--models", "pwo,cp")
+    assert_overflow_error(rc, out, err, "pwo")
+    assert "Saturated" not in err
+
+
+def test_predict_overflow_is_one_error_line(capsys, pwo_fit_json, tmp_path):
+    def edit(payload):
+        for row in payload["coefficients"]:
+            row["estimate"] = 1e308
+    path = _tampered_fit(pwo_fit_json, tmp_path, edit)
+    rc, out, err = run_cli(capsys, "predict", "--fit", path)
+    assert rc == 1 and out == ""
+    assert err.splitlines()[1:] == [
+        "oofa: error: EstimabilityError: predictions of model pwo overflow; "
+        "rescale y, for example divide it by a power of ten"
+    ]
+
+
+@pytest.mark.parametrize("field", ["coefficients", "rss", "xtx_inv"])
+def test_predict_rejects_non_finite_fit_values(capsys, pwo_fit_json, tmp_path, field):
+    def edit(payload):
+        if field == "coefficients":
+            payload["coefficients"][1]["estimate"] = math.inf
+        elif field == "rss":
+            payload["rss"] = math.inf
+        else:
+            payload["xtx_inv"][0][0] = math.nan
+    rc, out, err = run_cli(capsys, "predict", "--fit", _tampered_fit(pwo_fit_json, tmp_path, edit))
+    assert_parse_error(rc, err)
+    assert out == "" and "not finite" in err
+
+
 def test_non_utf8_design_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("pos_1,pos_2,pos_3,y\nA,B,C,1\n\u00c4,B,C,2\n".encode("latin-1"))

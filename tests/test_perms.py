@@ -14,7 +14,6 @@ from oofa import (
     ValidationError,
     check_capacity,
     enumerate_permutations,
-    signed_distance,
     standardize,
 )
 from oofa.perms import order_array
@@ -75,18 +74,12 @@ def test_capacity_cap():
         order_array(9)
 
 
-def test_positions_and_distance():
+def test_positions():
     perm = Permutation((2, 3, 1))
     assert perm.position_of(1) == 3
     assert perm.position_of(2) == 1
     assert perm.position_of(3) == 2
     assert perm.positions() == (3, 1, 2)
-    # signed distance is how far d sits after c
-    assert signed_distance(perm, 2, 3) == 1
-    assert signed_distance(perm, 3, 2) == -1
-    assert signed_distance(perm, 2, 1) == 2
-    with pytest.raises(ValidationError):
-        signed_distance(perm, 1, 1)
     with pytest.raises(ValidationError):
         perm.position_of(4)
 
