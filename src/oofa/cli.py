@@ -40,6 +40,10 @@ from .perms import check_capacity, order_array, standardize
 from .ranking import PredictionTable, predict_all, predict_rows, rank_descending, top_k
 from .search import SearchConfig, exchange_search
 
+#: Largest ``surface --grid``: the grid has grid² points, and 1000² rows is
+#: already far more than a plot of the (p1, p2) plane needs.
+MAX_GRID = 1000
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -119,6 +123,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
         labels = tuple(part.strip() for part in args.labels.split(","))
         if len(labels) != args.m:
             raise ValidationError(f"{len(labels)} labels for m = {args.m}")
+        if "" in labels or len(set(labels)) != len(labels):
+            raise ValidationError(
+                f"--labels must be {args.m} distinct non-empty names, got {args.labels!r}"
+            )
     header = [f"pos_{k}" for k in range(1, args.m + 1)]
     named = labels or tuple(str(c) for c in range(1, args.m + 1))
     _emit_table(args, header, list(_order_labels(order_array(args.m), named).T))
@@ -306,8 +314,8 @@ def _cmd_surface(args: argparse.Namespace) -> None:
     data = _apply_block(_load_dataset(args.data), args.block)
     if data.m != 3:
         raise ValidationError(f"surface supports m = 3 only, got m = {data.m}")
-    if args.grid < 2:
-        raise ValidationError(f"--grid must be >= 2, got {args.grid}")
+    if not 2 <= args.grid <= MAX_GRID:
+        raise ValidationError(f"--grid must be in 2..{MAX_GRID}, got {args.grid}")
     fit = ols_fit(spec, data)
 
     m = data.m

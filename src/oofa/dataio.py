@@ -171,7 +171,8 @@ def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: 
     ``fmt="json"`` writes exactly ``json.dumps(records, indent=2)`` of the
     list of row objects (keys in header order, NaN as ``null``) and a
     newline.  Rows are formatted and written BLOCK_ROWS at a time, so the
-    formatted table never sits in memory whole.
+    formatted table never sits in memory whole; in both formats each row is
+    one ``%`` of a template built once per table.
     """
     header = list(header)
     if not header or len(columns) != len(header):
@@ -187,10 +188,24 @@ def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: 
     if fmt == "json":
         _write_json(stream, header, typed, n)
     else:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
+        _write_csv(stream, header, typed, n)
+
+
+def _write_csv(stream: IO[str], header: list[str], typed: list, n: int) -> None:
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    if len(typed) == 1:  # csv.writer writes an empty lone field as "", a template would not
         for start in range(0, n, BLOCK_ROWS):
             writer.writerows(zip(*_format_block(typed, start, _CSV_CELLS)))
+        return
+    # Cells reach the template as arguments, never as part of it, so a % in a cell is safe.
+    template = ",".join(_CSV_SPECS[kind] for kind, _ in typed)
+    quoted = _QuotedCells()
+    cells = {**_CSV_CELLS, "f": _as_is, "i": _as_is,
+             "s": lambda values: _csv_strings(values, quoted)}
+    for start in range(0, n, BLOCK_ROWS):
+        rows = zip(*_format_block(typed, start, cells))
+        stream.write("\n".join([template % row for row in rows]) + "\n")
 
 
 def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None:
@@ -237,6 +252,40 @@ def _json_floats(values: list) -> list[str]:
     return [_JSON_SPECIAL.get(text, text) for text in map(float.__repr__, values)]
 
 
+def _as_is(values: list) -> list:
+    return values
+
+
+def _csv_strings(values: list, quoted: "_QuotedCells") -> list:
+    """String cells as csv.writer writes them among other fields.
+
+    QUOTE_MINIMAL quotes a field only when it holds the delimiter, the quote
+    character or a line-break character, so a block with none of them passes
+    through.  Otherwise csv.writer itself renders each cell (whether it
+    quotes a lone ``\r`` differs between Python versions).
+    """
+    text = "".join(values)
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return [quoted[value] for value in values]
+    return values
+
+
+class _QuotedCells(dict):
+    """Cell text -> the field csv.writer writes for it, each distinct cell quoted once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._buffer = io.StringIO()
+        self._writer = csv.writer(self._buffer, lineterminator="\n")
+
+    def __missing__(self, cell: str) -> str:
+        self._buffer.seek(0)
+        self._buffer.truncate()
+        self._writer.writerow((cell, ""))  # a second field, so that "" stays empty
+        field = self[cell] = self._buffer.getvalue()[:-2]
+        return field
+
+
 _JSON_SPECIAL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
 _BOOLS = {True: "true", False: "false"}
 _CSV_CELLS = {
@@ -245,6 +294,7 @@ _CSV_CELLS = {
     "b": lambda values: [_BOOLS[v] for v in values],
     "s": list,
 }
+_CSV_SPECS = {"f": "%.12g", "i": "%d", "b": "%s", "s": "%s"}
 _JSON_CELLS = {
     "f": _json_floats,
     "i": _CSV_CELLS["i"],

@@ -129,14 +129,24 @@ def order_array(m: int) -> np.ndarray:
     so row i is ``enumerate_permutations(m)[i].order``.  Cached; code that
     only needs the orders (model matrices, the search pool) indexes this
     instead of building m! :class:`Permutation` objects.
+
+    Built up from the single order of one component: the k! orders are one
+    block per leading component c, whose rest maps the (k - 1)! orders of
+    1..k-1 onto the other components in ascending order, which keeps the
+    blocks, and the rows within them, lexicographic.  The smaller arrays are
+    not kept.
     """
     check_capacity(m)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(1, m + 1))),
-        dtype=np.intp,
-        count=factorial(m) * m,
-    )
-    orders = flat.reshape(-1, m)
+    orders = np.ones((1, 1), dtype=np.intp)
+    for k in range(2, m + 1):
+        sub, orders = orders, np.empty((factorial(k), k), dtype=np.intp)
+        components = np.arange(k + 1)
+        for c, block in enumerate(np.split(orders, k), start=1):
+            block[:, 0] = c
+            # rest[j] is the j-th component other than c (rest[0] = 0 is unused);
+            # no index is out of range, and mode "clip" writes without a temporary
+            rest = components[components != c]
+            np.take(rest, sub, out=block[:, 1:], mode="clip")
     orders.setflags(write=False)
     return orders
 

@@ -29,6 +29,7 @@ estimable, in chunks capped by bytes so memory stays bounded whatever N is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,16 @@ from .criteria import (
 )
 from .design import Design
 from .errors import SearchFailureError, ValidationError
-from .perms import check_capacity, order_array
+from .perms import MAX_COMPONENTS, check_capacity, order_array
 
 #: Bytes for one chunk of exact scoring, counted as its gathered (rows, N, p)
 #: matrices plus one (rows, p, p) factor, in float64; the thin SVD's own
 #: factors are a small multiple of that.
 _CHUNK_BYTES = 8 << 20
+#: Largest run count a search accepts: a design as large as the biggest full
+#: factorial (8! = 40320 runs).  The random starts alone take
+#: _START_ATTEMPTS x N indices, so N must be bounded before they are drawn.
+MAX_RUNS = math.factorial(MAX_COMPONENTS)
 _START_ATTEMPTS = 200
 #: Starting designs scored per call while looking for the first estimable one.
 _START_BLOCK = 8
@@ -82,6 +87,8 @@ class SearchConfig:
             raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.n_runs > MAX_RUNS:
+            raise ValidationError(f"n_runs must be <= {MAX_RUNS}, got {self.n_runs}")
         p_max = self.objective.max_param_count(self.m)
         if self.n_runs < p_max:
             raise ValidationError(

@@ -14,7 +14,8 @@ import pytest
 
 import oofa
 from oofa import Design, enumerate_permutations, read_design, write_design
-from oofa.cli import main
+from oofa.cli import MAX_GRID, main
+from oofa.search import MAX_RUNS
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +75,13 @@ def test_enumerate_rejects_m_over_capacity(capsys):
 def test_enumerate_label_count_must_match(capsys):
     rc, _, _ = run_cli(capsys, "enumerate", "--m", "3", "--labels", "A,B")
     assert rc == 2
+
+
+@pytest.mark.parametrize("m, labels", [("3", "A,A,B"), ("2", ","), ("3", "A, ,B"), ("2", "A, A ")])
+def test_enumerate_labels_must_be_distinct_and_non_empty(capsys, m, labels):
+    rc, out, err = run_cli(capsys, "enumerate", "--m", m, "--labels", labels)
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1].startswith("oofa: error: ValidationError: --labels must be")
 
 
 # -- matrix ------------------------------------------------------------------
@@ -568,6 +576,16 @@ def test_design_too_few_runs(capsys):
     assert "runs" in err
 
 
+def test_design_run_count_is_bounded(capsys):
+    rc, out, err = run_cli(
+        capsys, "design", "--m", "3", "--runs", "1000000000000", "--models", "pwo",
+    )
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"oofa: error: ValidationError: n_runs must be <= {MAX_RUNS}, got 1000000000000"
+    )
+
+
 def test_design_compound_weights(capsys):
     rc, out, _ = run_cli(
         capsys, "design", "--m", "3", "--runs", "8", "--models", "pwo,rs2",
@@ -644,6 +662,15 @@ def test_surface_rejects_other_models(capsys, m3_csv):
 def test_surface_grid_must_be_at_least_two(capsys, m3_csv):
     rc, _, _ = run_cli(capsys, "surface", "--data", m3_csv, "--grid", "1")
     assert rc == 2
+
+
+@pytest.mark.parametrize("grid", [str(MAX_GRID + 1), "10000000"])
+def test_surface_grid_is_bounded(capsys, m3_csv, grid):
+    rc, out, err = run_cli(capsys, "surface", "--data", m3_csv, "--grid", grid)
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"oofa: error: ValidationError: --grid must be in 2..{MAX_GRID}, got {grid}"
+    )
 
 
 # -- global behaviour ---------------------------------------------------------

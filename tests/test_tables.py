@@ -7,6 +7,7 @@ and everything the CLI prints through it must match them byte for byte.
 
 import csv
 import io
+import itertools
 import json
 import math
 from unittest import mock
@@ -17,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oofa import (
-    CandidateSet, Dataset, average_predictions, ols_fit, parse_model, predict_all, top_k,
+    CandidateSet, Dataset, Design, average_predictions, ols_fit, parse_model, predict_all, top_k,
 )
 from oofa import dataio
 from oofa.cli import _weighted_candidates, main
-from oofa.dataio import fit_from_dict, read_design, table_to_csv, table_to_json, write_table
+from oofa.dataio import (
+    fit_from_dict, read_design, table_to_csv, table_to_json, write_design, write_table,
+)
 from oofa.ranking import PredictionTable, rank_descending
 
 BLOCK_SIZES = (1, 3, dataio.BLOCK_ROWS)
@@ -121,6 +124,36 @@ def test_numpy_scalars_in_rows_render_like_python_values():
     assert table_to_json(header, rows) == reference_json(header, rows)
 
 
+ORDERS = [" ".join(order) for order in itertools.permutations("ABCDE")]
+
+
+@pytest.mark.parametrize("header, columns", [
+    pytest.param(["label", "x"], [["plain", "a,b", "x", 'q"', "", "line\nbreak", "cr\r", "plain"],
+                                  [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5]], id="some-cells-quoted"),
+    pytest.param(["order", "estimate", "rank"],
+                 [ORDERS, np.linspace(-1, 1, len(ORDERS)), np.arange(1, len(ORDERS) + 1)],
+                 id="distinct-orders"),
+    pytest.param(["order", "estimate"], [[o.replace("C", "C,1") for o in ORDERS],
+                                         np.linspace(-1, 1, len(ORDERS))], id="orders-with-comma"),
+    pytest.param(["order", "estimate"], [[o.replace("C", 'C"') for o in ORDERS],
+                                         np.linspace(-1, 1, len(ORDERS))], id="orders-with-quote"),
+    pytest.param(["only"], [["", "a", "", "b,c"]], id="one-column-empty-strings"),
+    pytest.param(["only"], [np.array([0.25, math.nan])], id="one-column-floats"),
+    pytest.param(["u64", "u8", "flag", "flags"],
+                 [np.array([0, 2**64 - 1, 7], dtype=np.uint64), np.array([0, 255, 1], dtype=np.uint8),
+                  np.array([True, False, True]), [False, True, np.bool_(True)]], id="uint-and-bool"),
+    pytest.param(["%s", "%", "%%d", "%(x)s"], [["%s", "%%", "%d", "100%"], ["%", "a%sb", "%%%", "%(x)s"],
+                                               [1.0, 2.0, 3.0, 4.0], [1, 2, 3, 4]], id="percent-signs"),
+])
+def test_template_writer_matches_row_by_row_rendering(header, columns):
+    want = reference_csv(header, [list(row) for row in zip(*columns)])
+    for size in BLOCK_SIZES:
+        with mock.patch.object(dataio, "BLOCK_ROWS", size):
+            out = io.StringIO()
+            write_table(out, header, columns)
+            assert out.getvalue() == want
+
+
 def test_malformed_tables_are_rejected():
     with pytest.raises(ValueError):
         write_table(io.StringIO(), ["a", "b"], [[1.0]])
@@ -144,15 +177,34 @@ def _render(argv, header, rows) -> str:
     return reference_csv(header, rows)
 
 
+#: Component labels that csv must quote (or that must not reach a % template).
+ODD_LABELS = ("a,b", 'say "hi"', "x\ny", "é")
+
+
 @pytest.fixture(scope="module")
-def fit_files(tmp_path_factory, data_dir):
-    """Fit JSON files: pwo on m = 4 blocked data, nn saturated on m = 3."""
+def data_files(tmp_path_factory, data_dir):
+    """The m = 3, 4, 5 data files, plus the m = 4 file relabeled with ODD_LABELS."""
+    paths = {name: data_dir / name for name in ("m3_runs.csv", "m4_n24_block.csv",
+                                                "m5_n40_block.csv")}
+    data = read_design(paths["m4_n24_block.csv"])
+    design = data.design
+    odd = Design.from_orders([run.order for run in design.runs], design.block, ODD_LABELS)
+    paths["m4_odd_labels.csv"] = tmp_path_factory.mktemp("data") / "m4_odd_labels.csv"
+    write_design(paths["m4_odd_labels.csv"], Dataset(odd, data.response))
+    assert read_design(paths["m4_odd_labels.csv"]).design.component_labels == ODD_LABELS
+    return paths
+
+
+@pytest.fixture(scope="module")
+def fit_files(tmp_path_factory, data_files):
+    """Fit JSON files: pwo on m = 4 blocked data (plain and odd labels), nn saturated on m = 3."""
     root = tmp_path_factory.mktemp("fits")
     paths = {}
     for name, model, data, extra in (("pwo4", "pwo", "m4_n24_block.csv", ["--block"]),
+                                     ("odd4", "pwo", "m4_odd_labels.csv", ["--block"]),
                                      ("nn3", "nn", "m3_runs.csv", [])):
         paths[name] = str(root / f"{name}.json")
-        argv = ["fit", "--model", model, "--data", str(data_dir / data), "--out", paths[name]]
+        argv = ["fit", "--model", model, "--data", str(data_files[data]), "--out", paths[name]]
         with mock.patch("sys.stdout", io.StringIO()), mock.patch("sys.stderr", io.StringIO()):
             assert main(argv + extra) == 0
     return paths
@@ -167,6 +219,8 @@ def fit_files(tmp_path_factory, data_dir):
     ("pwo4", ["--minimize"]),
     ("nn3", []),
     ("nn3", ["--format", "json"]),
+    ("odd4", []),
+    ("odd4", ["--top", "5", "--format", "json"]),
 ])
 def test_predict_output_is_the_reference_rendering(capsys, monkeypatch, fit_files, block,
                                                    fit_name, extra):
@@ -196,12 +250,14 @@ def test_predict_output_is_the_reference_rendering(capsys, monkeypatch, fit_file
     ("m4_n24_block.csv", "pwo,cp,rs2", ["--block", "--top", "10"]),
     ("m4_n24_block.csv", "pwo,cp,rs2", ["--block", "--format", "json"]),
     ("m5_n40_block.csv", "pwo,tpwo:invh", ["--block", "--top", "9", "--format", "json"]),
+    ("m4_odd_labels.csv", "pwo,cp", ["--block"]),
+    ("m4_odd_labels.csv", "pwo,cp", ["--block", "--top", "4", "--format", "json"]),
 ])
-def test_average_output_is_the_reference_rendering(capsys, monkeypatch, data_dir, block,
+def test_average_output_is_the_reference_rendering(capsys, monkeypatch, data_files, block,
                                                    data, models, extra):
     monkeypatch.setattr(dataio, "BLOCK_ROWS", block)
-    argv = ["average", "--data", str(data_dir / data), "--models", models, *extra]
-    loaded = read_design(data_dir / data)
+    argv = ["average", "--data", str(data_files[data]), "--models", models, *extra]
+    loaded = read_design(data_files[data])
     if "--block" not in extra:
         loaded = Dataset(loaded.design.without_block(), loaded.response)
     fits = [ols_fit(parse_model(label), loaded) for label in models.split(",")]
@@ -236,3 +292,18 @@ def test_average_output_is_the_reference_rendering(capsys, monkeypatch, data_dir
         row += [averaged.estimates[i], int(averaged.ranks[i]), averaged.std_errors[i]]
         rows.append(row)
     assert _stdout(capsys, argv) == _render(argv, header, rows)
+
+
+@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS])
+@pytest.mark.parametrize("labels, extra", [
+    (None, []),
+    (('say "hi"', "x\ny", "é", "%s"), []),
+    (('say "hi"', "x\ny", "é", "%s"), ["--format", "json"]),
+])
+def test_enumerate_output_is_the_reference_rendering(capsys, monkeypatch, block, labels, extra):
+    monkeypatch.setattr(dataio, "BLOCK_ROWS", block)
+    names = labels or ("1", "2", "3", "4")
+    argv = ["enumerate", "--m", "4", *(["--labels", ",".join(names)] if labels else []), *extra]
+    rows = [list(order) for order in itertools.permutations(names)]
+    want = _render(argv, ["pos_1", "pos_2", "pos_3", "pos_4"], rows)
+    assert _stdout(capsys, argv) == want
