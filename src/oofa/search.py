@@ -29,8 +29,8 @@ estimable, in chunks capped by bytes so memory stays bounded whatever N is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -53,7 +53,7 @@ _CHUNK_BYTES = 8 << 20
 #: Largest run count a search accepts: a design as large as the biggest full
 #: factorial (8! = 40320 runs).  The random starts alone take
 #: _START_ATTEMPTS x N indices, so N must be bounded before they are drawn.
-MAX_RUNS = math.factorial(MAX_COMPONENTS)
+MAX_RUNS = factorial(MAX_COMPONENTS)
 _START_ATTEMPTS = 200
 #: Starting designs scored per call while looking for the first estimable one.
 _START_BLOCK = 8
