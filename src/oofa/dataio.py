@@ -194,18 +194,17 @@ def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: 
 def _write_csv(stream: IO[str], header: list[str], typed: list, n: int) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    if len(typed) == 1:  # csv.writer writes an empty lone field as "", a template would not
-        for start in range(0, n, BLOCK_ROWS):
-            writer.writerows(zip(*_format_block(typed, start, _CSV_CELLS)))
-        return
     # Cells reach the template as arguments, never as part of it, so a % in a cell is safe.
-    template = ",".join(_CSV_SPECS[kind] for kind, _ in typed)
-    quoted = _QuotedCells()
-    cells = {**_CSV_CELLS, "f": _as_is, "i": _as_is,
-             "s": lambda values: _csv_strings(values, quoted)}
+    # Ints go in through %s, which is str for int subclasses (bool, IntEnum) too.
+    template = ",".join("%.12g" if kind == "f" else "%s" for kind, _ in typed)
     for start in range(0, n, BLOCK_ROWS):
-        rows = zip(*_format_block(typed, start, cells))
-        stream.write("\n".join([template % row for row in rows]) + "\n")
+        if len(typed) > 1 and not any(
+            kind == "s" and _needs_quoting(values[start:start + BLOCK_ROWS]) for kind, values in typed
+        ):
+            rows = zip(*_format_block(typed, start, _TEMPLATE_CELLS))
+            stream.write("\n".join([template % row for row in rows]) + "\n")
+        else:  # csv.writer quotes these cells, and writes an empty lone field as ""
+            writer.writerows(zip(*_format_block(typed, start, _CSV_CELLS)))
 
 
 def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None:
@@ -256,34 +255,14 @@ def _as_is(values: list) -> list:
     return values
 
 
-def _csv_strings(values: list, quoted: "_QuotedCells") -> list:
-    """String cells as csv.writer writes them among other fields.
+def _needs_quoting(cells: Sequence[str]) -> bool:
+    """Whether csv.writer (QUOTE_MINIMAL) would quote any of these cells.
 
-    QUOTE_MINIMAL quotes a field only when it holds the delimiter, the quote
-    character or a line-break character, so a block with none of them passes
-    through.  Otherwise csv.writer itself renders each cell (whether it
-    quotes a lone ``\r`` differs between Python versions).
+    It quotes a field only when the field holds the delimiter, the quote
+    character or a line-break character.
     """
-    text = "".join(values)
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return [quoted[value] for value in values]
-    return values
-
-
-class _QuotedCells(dict):
-    """Cell text -> the field csv.writer writes for it, each distinct cell quoted once."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._buffer = io.StringIO()
-        self._writer = csv.writer(self._buffer, lineterminator="\n")
-
-    def __missing__(self, cell: str) -> str:
-        self._buffer.seek(0)
-        self._buffer.truncate()
-        self._writer.writerow((cell, ""))  # a second field, so that "" stays empty
-        field = self[cell] = self._buffer.getvalue()[:-2]
-        return field
+    text = "".join(cells)
+    return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
 _JSON_SPECIAL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
@@ -292,9 +271,10 @@ _CSV_CELLS = {
     "f": lambda values: ["%.12g" % v for v in values],
     "i": lambda values: list(map(str, values)),
     "b": lambda values: [_BOOLS[v] for v in values],
-    "s": list,
+    "s": _as_is,
 }
-_CSV_SPECS = {"f": "%.12g", "i": "%d", "b": "%s", "s": "%s"}
+#: Cells for a CSV row template: floats and ints go in as values (``%.12g``, ``%s``).
+_TEMPLATE_CELLS = {**_CSV_CELLS, "f": _as_is, "i": _as_is}
 _JSON_CELLS = {
     "f": _json_floats,
     "i": _CSV_CELLS["i"],

@@ -6,6 +6,7 @@ and everything the CLI prints through it must match them byte for byte.
 """
 
 import csv
+import enum
 import io
 import itertools
 import json
@@ -130,6 +131,7 @@ ORDERS = [" ".join(order) for order in itertools.permutations("ABCDE")]
 @pytest.mark.parametrize("header, columns", [
     pytest.param(["label", "x"], [["plain", "a,b", "x", 'q"', "", "line\nbreak", "cr\r", "plain"],
                                   [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5]], id="some-cells-quoted"),
+    pytest.param(["label", "x"], [["cr\r", "plain"], [0.5, 1.5]], id="lone-carriage-return"),
     pytest.param(["order", "estimate", "rank"],
                  [ORDERS, np.linspace(-1, 1, len(ORDERS)), np.arange(1, len(ORDERS) + 1)],
                  id="distinct-orders"),
@@ -152,6 +154,24 @@ def test_template_writer_matches_row_by_row_rendering(header, columns):
             out = io.StringIO()
             write_table(out, header, columns)
             assert out.getvalue() == want
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+@pytest.mark.parametrize("columns, want", [
+    pytest.param([[True, 2], [1.5, 2.5]], "a,b\nTrue,1.5\n2,2.5\n", id="bool-and-int"),
+    pytest.param([[_Level.LOW, _Level.HIGH], ["x", "y"]],
+                 f"a,b\n{str(_Level.LOW)},x\n{str(_Level.HIGH)},y\n", id="int-enum"),
+    pytest.param([[True, 2]], "a\nTrue\n2\n", id="one-column-bool-and-int"),
+])
+def test_int_columns_write_each_cell_through_str(columns, want):
+    """A column of ints and int subclasses writes ``str`` of each cell, whatever the path."""
+    out = io.StringIO()
+    write_table(out, ["a", "b"][:len(columns)], columns)
+    assert out.getvalue() == want
 
 
 def test_malformed_tables_are_rejected():
