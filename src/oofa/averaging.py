@@ -18,17 +18,14 @@ conditional variances only the spread contributes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SaturatedModelError, ValidationError
-from .fitting import FitResult, akaike_weights, information_criteria
+from .fitting import FitResult, akaike_weights, check_weights, information_criteria
 from .perms import Permutation, as_permutations, order_array
 from .ranking import predict_factorial, rank_descending
-
-WEIGHT_SUM_TOL = 1e-9
 
 
 def combine_predictions(
@@ -44,12 +41,7 @@ def combine_predictions(
     w = np.asarray(weights, dtype=float)
     if est.shape != cvar.shape or est.ndim != 2 or w.shape != (est.shape[0],):
         raise ValidationError("estimates, variances and weights have mismatched shapes")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("model weights must be finite")
-    if np.any(w < 0):
-        raise ValidationError("model weights must be non-negative")
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"model weights must sum to 1, got {w.sum()!r}")
+    check_weights(w, "model")
     if np.any(cvar < 0):
         raise ValidationError("conditional variances must be non-negative")
     avg = w @ est
@@ -72,13 +64,7 @@ class CandidateSet:
             raise ValidationError(
                 f"{len(self.weights)} weights for {len(self.fits)} fits"
             )
-        if not all(math.isfinite(w) for w in self.weights):
-            raise ValidationError("model weights must be finite")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("model weights must be non-negative")
-        total = sum(self.weights)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"model weights must sum to 1, got {total!r}")
+        check_weights(self.weights, "model")
         first = self.fits[0].data
         for fit in self.fits:
             if fit.data is not first and not (

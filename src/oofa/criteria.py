@@ -40,10 +40,8 @@ import numpy as np
 
 from .design import Design
 from .errors import EstimabilityError, ValidationError
-from .fitting import RANK_RTOL
+from .fitting import RANK_RTOL, check_weights
 from .models import ModelSpec, build_matrix, factorial_blocks, full_factorial_matrix
-
-WEIGHT_SUM_TOL = 1e-9
 
 
 class CriterionKind(str, enum.Enum):
@@ -91,13 +89,7 @@ class CompoundSpec:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValidationError("a compound criterion needs at least one member")
-        if not all(math.isfinite(mem.weight) for mem in self.members):
-            raise ValidationError("compound weights must be finite")
-        if any(mem.weight < 0 for mem in self.members):
-            raise ValidationError("compound weights must be non-negative")
-        total = sum(mem.weight for mem in self.members)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"compound weights must sum to 1, got {total!r}")
+        check_weights([mem.weight for mem in self.members], "compound")
 
     @classmethod
     def single(cls, model: ModelSpec, criterion: CriterionSpec) -> "CompoundSpec":

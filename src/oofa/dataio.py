@@ -26,11 +26,14 @@ import numpy as np
 
 from .design import Design
 from .errors import ParseError, ValidationError
-from .fitting import Dataset, FitResult
-from .models import ModelSpec, parse_model, term_labels
+from .fitting import Dataset, FitResult, ols_fit
+from .models import ModelSpec, parse_model
 
 #: Rows formatted and written at a time by :func:`write_table`.
 BLOCK_ROWS = 4096
+#: Largest difference :func:`fit_from_dict` allows between a stored
+#: coefficient and its refit, relative to the largest refit coefficient.
+COEF_RTOL = 1e-9
 
 
 def format_float(value: float) -> str:
@@ -351,7 +354,14 @@ def fit_to_dict(fit: FitResult) -> dict:
 
 
 def fit_from_dict(payload: dict) -> FitResult:
-    """Rebuild a FitResult from :func:`fit_to_dict` output."""
+    """Refit the model to the data a :func:`fit_to_dict` payload carries.
+
+    Only ``model``, ``taper``, ``data`` and the coefficient rows are read.
+    The stored terms must be the refit's and every stored estimate within
+    ``COEF_RTOL`` times the largest refit coefficient of its refit value, so
+    an edited file is refused rather than used.  A refit that fails ends as
+    ``oofa fit`` does on the same data.
+    """
     try:
         label = payload["model"]
         if payload.get("taper"):
@@ -366,46 +376,23 @@ def fit_from_dict(payload: dict) -> FitResult:
         data = Dataset(design, np.array(data_part["y"], dtype=float))
         coeff_rows = payload["coefficients"]
         labels = tuple(row["term"] for row in coeff_rows)
-        coefficients = np.array([row["estimate"] for row in coeff_rows], dtype=float)
-        fit = FitResult(
-            spec=spec,
-            data=data,
-            term_labels=labels,
-            coefficients=coefficients,
-            rss=float(payload["rss"]),
-            df_error=int(payload["df_error"]),
-            p_effective=int(payload["p_effective"]),
-            n=int(payload["n"]),
-            sigma2_hat=_opt_float(payload.get("sigma2_hat")),
-            rmse=_opt_float(payload.get("rmse")),
-            log_lik=_opt_float(payload.get("log_lik")),
-            aic=_opt_float(payload.get("aic")),
-            bic=_opt_float(payload.get("bic")),
-            xtx_inv=np.array(payload["xtx_inv"], dtype=float),
-            n_block_cols=int(payload["n_block_cols"]),
-        )
+        stored = np.array([row["estimate"] for row in coeff_rows], dtype=float)
     except ValidationError:  # a ValueError too, but already says what is wrong
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed fit JSON: missing or bad field {exc}") from None
-    model_terms = term_labels(spec, design.m)
-    if len(labels) != len(model_terms) + fit.n_block_cols:
+    fit = ols_fit(spec, data)
+    if len(labels) != len(fit.term_labels):
         raise ParseError(
             f"fit JSON has {len(labels)} coefficients; model {spec.label} with "
-            f"{fit.n_block_cols} block columns has {len(model_terms) + fit.n_block_cols} terms"
+            f"{fit.n_block_cols} block columns has {len(fit.term_labels)} terms"
         )
-    expected = model_terms + tuple(f"block_{j}" for j in range(1, fit.n_block_cols + 1))
-    if labels != expected:
+    if labels != fit.term_labels:
         raise ParseError("fit JSON terms do not match the declared model")
-    p = len(labels)
-    if fit.xtx_inv.shape != (p, p):
-        shape = " x ".join(str(k) for k in fit.xtx_inv.shape)
-        raise ParseError(f"fit JSON xtx_inv is {shape or 'a scalar'}, expected {p} x {p}")
-    if not (np.all(np.isfinite(fit.coefficients)) and np.all(np.isfinite(fit.xtx_inv))
-            and math.isfinite(fit.rss)):
-        raise ParseError("fit JSON has a coefficient, rss or xtx_inv entry that is not finite")
+    drift = np.max(np.abs(stored - fit.coefficients))
+    if not drift <= COEF_RTOL * np.max(np.abs(fit.coefficients)):  # NaN and inf fail too
+        raise ParseError(
+            "fit JSON coefficients disagree with a refit of the data it carries "
+            f"(largest difference {float(drift):.3g})"
+        )
     return fit
-
-
-def _opt_float(value) -> float | None:
-    return None if value is None else float(value)

@@ -81,10 +81,6 @@ class Design:
                 seen.append(lab)
         return tuple(seen)
 
-    def orders_array(self) -> np.ndarray:
-        """(n, m) integer array: row i is the component order of run i."""
-        return np.array([run.order for run in self.runs], dtype=np.intp)
-
     def block_matrix(self) -> np.ndarray:
         """Sum-to-zero block coding, one column per non-reference level.
 
@@ -111,6 +107,3 @@ class Design:
         if self.block is None:
             return self
         return Design(self.runs, None, self.labels)
-
-    def run_label(self, i: int) -> str:
-        return self.runs[i].label(self.component_labels)

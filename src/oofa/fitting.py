@@ -34,6 +34,8 @@ from .models import DesignMatrix, ModelSpec, build_matrix
 
 #: Relative singular-value threshold below which a column is rank-deficient.
 RANK_RTOL = 1e-10
+#: How far from one the weights of a model average or a compound may sum.
+WEIGHT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,6 @@ class FitResult:
     @property
     def model_coefficients(self) -> np.ndarray:
         return self.coefficients[: self.n_model_cols]
-
-    def coefficient(self, term: str) -> float:
-        try:
-            return float(self.coefficients[self.term_labels.index(term)])
-        except ValueError:
-            raise ValidationError(f"no term named {term!r} in this fit") from None
 
 
 def assemble_matrix(
@@ -223,3 +219,17 @@ def akaike_weights(criteria) -> np.ndarray:
         raise ValidationError("information criteria must all be finite")
     raw = np.exp(-(values - values.min()) / 2.0)
     return raw / raw.sum()
+
+
+def check_weights(weights, what: str) -> None:
+    """Raise ValidationError unless the weights are finite, non-negative and
+    sum to one within WEIGHT_SUM_TOL; ``what`` ("model", "compound") names
+    them in the message."""
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValidationError(f"{what} weights must be finite")
+    if np.any(w < 0):
+        raise ValidationError(f"{what} weights must be non-negative")
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(f"{what} weights must sum to 1, got {total!r}")

@@ -290,11 +290,13 @@ def exchange_search(config: SearchConfig) -> SearchResult:
     evaluator = _Evaluator(config.objective, config.m)
     pool = order_array(config.m)
     w = len(pool)
-    children = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    root = np.random.SeedSequence(config.seed)
 
     best: tuple[float, int, np.ndarray, tuple[float, ...]] | None = None
-    for restart, child in enumerate(children):
-        rng = np.random.default_rng(child)
+    for restart in range(config.restarts):
+        # one child at a time: spawning all restarts up front costs memory in
+        # proportion to their number; the children are the same either way
+        rng = np.random.default_rng(root.spawn(1)[0])
         start = _random_start(evaluator, config.n_runs, w, rng)
         if start is None:
             continue

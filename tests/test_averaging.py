@@ -153,8 +153,9 @@ def test_estimates_are_convex_in_models(m3_dataset):
 def test_combine_validation():
     est = np.zeros((2, 3))
     var = np.zeros((2, 3))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as caught:
         combine_predictions(est, var, np.array([0.5, 0.6]))
+    assert str(caught.value) == "model weights must sum to 1, got 1.1"
     with pytest.raises(ValidationError):
         combine_predictions(est, var, np.array([1.5, -0.5]))
     with pytest.raises(ValidationError, match="finite"):

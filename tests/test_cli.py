@@ -15,6 +15,7 @@ import pytest
 import oofa
 from oofa import Design, enumerate_permutations, read_design, write_design
 from oofa.cli import MAX_GRID, main
+from oofa.dataio import fit_from_dict, fit_to_dict, to_json
 from oofa.search import MAX_RUNS
 
 
@@ -327,12 +328,59 @@ def test_predict_rejects_invalid_json(capsys, tmp_path):
     assert out == ""
 
 
-def test_predict_rejects_truncated_xtx_inv(capsys, pwo_fit_json, tmp_path):
-    path = _tampered_fit(pwo_fit_json, tmp_path,
-                         lambda d: d.update(xtx_inv=d["xtx_inv"][:-1]))
-    rc, _, err = run_cli(capsys, "predict", "--fit", path)
+#: Edits to fit JSON fields that predict does not read: it refits from the stored data.
+UNREAD_FIELD_EDITS = {
+    "xtx_inv-truncated": lambda d: d.update(xtx_inv=d["xtx_inv"][:-1]),
+    "xtx_inv-nan": lambda d: d["xtx_inv"][0].__setitem__(0, math.nan),
+    "rss-inf": lambda d: d.update(rss=math.inf),
+    "sigma2_hat-x100": lambda d: d.update(sigma2_hat=100 * d["sigma2_hat"]),
+    "aic": lambda d: d.update(aic=d["aic"] - 50),
+}
+
+
+@pytest.mark.parametrize("edit", UNREAD_FIELD_EDITS)
+def test_predict_ignores_fields_it_does_not_read(capsys, pwo_fit_json, tmp_path, edit):
+    path = _tampered_fit(pwo_fit_json, tmp_path, UNREAD_FIELD_EDITS[edit])
+    for extra in ([], ["--top", "2", "--format", "json"]):
+        _, expected, _ = run_cli(capsys, "predict", "--fit", pwo_fit_json, *extra)
+        rc, out, _ = run_cli(capsys, "predict", "--fit", path, *extra)
+        assert rc == 0 and out == expected
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_predict_refuses_an_edited_coefficient(capsys, pwo_fit_json, tmp_path, index):
+    def edit(payload):
+        payload["coefficients"][index]["estimate"] *= 1 + 1e-6
+    rc, out, err = run_cli(capsys, "predict", "--fit", _tampered_fit(pwo_fit_json, tmp_path, edit))
     assert_parse_error(rc, err)
-    assert "xtx_inv is 3 x 4, expected 4 x 4" in err
+    assert out == "" and "disagree with a refit" in err
+
+
+def test_predict_refit_failure_ends_as_fit_does(capsys, pwo_fit_json, huge_csv, tmp_path):
+    """Data edited so that the model overflows on it fails as `fit` fails on it."""
+    huge = read_design(huge_csv)
+    path = _tampered_fit(pwo_fit_json, tmp_path,
+                         lambda d: d["data"].update(y=huge.response.tolist()))
+    rc, out, err = run_cli(capsys, "predict", "--fit", path)
+    rc_fit, _, err_fit = run_cli(capsys, "fit", "--model", "pwo", "--data", huge_csv)
+    assert (rc, out) == (rc_fit, "") == (1, "")
+    assert err.splitlines()[1:] == err_fit.splitlines()[1:]
+
+
+def test_block_fit_file_round_trips(capsys, m4_csv, tmp_path):
+    path = tmp_path / "block.json"
+    rc, _, _ = run_cli(capsys, "fit", "--model", "pwo", "--data", m4_csv, "--block",
+                       "--out", str(path))
+    assert rc == 0
+    text = path.read_text(encoding="utf-8")
+    again = fit_to_dict(fit_from_dict(json.loads(text)))
+    assert again["n_block_cols"] == 1
+    resaved = tmp_path / "again.json"
+    resaved.write_text(to_json(again) + "\n", encoding="utf-8")
+    assert resaved.read_text(encoding="utf-8") == text
+    _, expected, _ = run_cli(capsys, "predict", "--fit", str(path))
+    rc, out, _ = run_cli(capsys, "predict", "--fit", str(resaved))
+    assert rc == 0 and out == expected
 
 
 def test_predict_rejects_wrong_coefficient_count(capsys, pwo_fit_json, tmp_path):
@@ -381,30 +429,32 @@ def test_average_overflow_names_the_cause(capsys, huge_csv):
 
 
 def test_predict_overflow_is_one_error_line(capsys, pwo_fit_json, tmp_path):
+    """Coefficients that would overflow the predictions cannot be a refit of the data."""
     def edit(payload):
         for row in payload["coefficients"]:
             row["estimate"] = 1e308
     path = _tampered_fit(pwo_fit_json, tmp_path, edit)
     rc, out, err = run_cli(capsys, "predict", "--fit", path)
-    assert rc == 1 and out == ""
-    assert err.splitlines()[1:] == [
-        "oofa: error: EstimabilityError: predictions of model pwo overflow; "
-        "rescale y, for example divide it by a power of ten"
-    ]
+    assert_parse_error(rc, err)
+    assert out == "" and "disagree with a refit" in err
 
 
-@pytest.mark.parametrize("field", ["coefficients", "rss", "xtx_inv"])
+@pytest.mark.parametrize("field", ["coefficients", "y"])
 def test_predict_rejects_non_finite_fit_values(capsys, pwo_fit_json, tmp_path, field):
     def edit(payload):
         if field == "coefficients":
             payload["coefficients"][1]["estimate"] = math.inf
-        elif field == "rss":
-            payload["rss"] = math.inf
         else:
-            payload["xtx_inv"][0][0] = math.nan
+            payload["data"]["y"][0] = math.nan
     rc, out, err = run_cli(capsys, "predict", "--fit", _tampered_fit(pwo_fit_json, tmp_path, edit))
-    assert_parse_error(rc, err)
-    assert out == "" and "not finite" in err
+    if field == "coefficients":
+        assert_parse_error(rc, err)
+        assert "disagree with a refit" in err
+    else:
+        assert rc == 2 and err.splitlines()[1:] == [
+            "oofa: error: ValidationError: responses must all be finite"
+        ]
+    assert out == ""
 
 
 def test_non_utf8_design_is_a_parse_error(capsys, tmp_path):

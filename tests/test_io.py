@@ -19,6 +19,7 @@ from oofa import (
     write_design,
 )
 from oofa.dataio import (
+    COEF_RTOL,
     fit_from_dict,
     fit_to_dict,
     format_float,
@@ -159,6 +160,30 @@ def test_fit_json_schema_fields(m3_dataset):
     assert payload["taper"] == "geom=0.5"
     assert payload["coefficients"][0]["term"] == "b0"
     assert math.isfinite(payload["rss"])
+
+
+def test_fit_from_dict_refits_and_ignores_stored_summaries(m4_dataset):
+    fit = ols_fit(parse_model("cp"), m4_dataset)
+    payload = json.loads(json.dumps(fit_to_dict(fit)))
+    payload.update(rss=-1.0, sigma2_hat=1e9, aic=None, n=1, p_effective=0, xtx_inv=[[0.0]])
+    again = fit_from_dict(payload)
+    for name in ("coefficients", "xtx_inv"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(fit, name))
+    for name in ("rss", "df_error", "p_effective", "n", "sigma2_hat", "aic", "n_block_cols"):
+        assert getattr(again, name) == getattr(fit, name)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+def test_fit_from_dict_coefficient_tolerance(m3_dataset, factor, accepted):
+    fit = ols_fit(parse_model("pwo"), m3_dataset)
+    payload = fit_to_dict(fit)
+    shift = factor * COEF_RTOL * np.max(np.abs(fit.coefficients))
+    payload["coefficients"][-1]["estimate"] += shift
+    if accepted:
+        np.testing.assert_array_equal(fit_from_dict(payload).coefficients, fit.coefficients)
+    else:
+        with pytest.raises(ParseError, match="disagree"):
+            fit_from_dict(payload)
 
 
 def test_fit_from_dict_rejects_garbage(m3_dataset):

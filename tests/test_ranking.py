@@ -7,6 +7,7 @@ import pytest
 
 from oofa import (
     Dataset,
+    EstimabilityError,
     ValidationError,
     full_factorial_matrix,
     ols_fit,
@@ -86,6 +87,16 @@ def test_predict_rows_validates_width(m3_dataset):
     fit = ols_fit(parse_model("pwo"), m3_dataset)
     with pytest.raises(ValidationError):
         predict_rows(fit, np.ones((2, 3)))
+
+
+def test_predict_rows_overflow_is_an_estimability_error(m3_dataset):
+    fit = ols_fit(parse_model("pwo"), m3_dataset)
+    huge = dataclasses.replace(fit, coefficients=np.full(len(fit.coefficients), 1e308))
+    message = ("predictions of model pwo overflow; rescale y, for example divide it "
+               "by a power of ten")
+    with pytest.raises(EstimabilityError) as caught:
+        predict_rows(huge, full_factorial_matrix(fit.spec, 3).values)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("label", FIVE)

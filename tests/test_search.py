@@ -1,6 +1,7 @@
 """Greedy point-exchange design search."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,34 @@ def test_search_determinism():
     assert a.restart == b.restart
     assert a.objective_trace == b.objective_trace
     assert a.seed == 11
+
+
+def test_restarts_draw_the_spawned_children(monkeypatch):
+    """Restart k runs on child k of SeedSequence(seed).spawn(restarts)."""
+    seen = []
+    monkeypatch.setattr(search, "_random_start",
+                        lambda evaluator, n_runs, w, rng: seen.append(rng.integers(2**62)))
+    config = SearchConfig(m=3, n_runs=6, objective=_objective("pwo"), restarts=4, seed=11)
+    with pytest.raises(SearchFailureError):
+        exchange_search(config)
+    children = np.random.SeedSequence(11).spawn(4)
+    assert seen == [np.random.default_rng(child).integers(2**62) for child in children]
+
+
+def test_restart_seeds_take_bounded_memory(monkeypatch):
+    monkeypatch.setattr(search, "_random_start", lambda *args: None)
+    objective = _objective("pwo")
+    with pytest.raises(SearchFailureError):  # builds the caches a search fills once
+        exchange_search(SearchConfig(m=3, n_runs=6, objective=objective, restarts=1))
+    config = SearchConfig(m=3, n_runs=6, objective=objective, restarts=20_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchFailureError):
+            exchange_search(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_search_result_consistency():
