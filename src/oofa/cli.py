@@ -26,6 +26,7 @@ from .criteria import (
     criterion_value,
 )
 from .dataio import (
+    LabelColumn,
     fit_from_dict,
     fit_to_dict,
     read_design,
@@ -59,9 +60,9 @@ def _emit_table(args: argparse.Namespace, header, columns) -> None:
     write_table(sys.stdout, header, columns, getattr(args, "format", "csv"))
 
 
-def _order_labels(orders: np.ndarray, labels) -> np.ndarray:
-    """(w, m) array of the component labels of each order's positions."""
-    return np.array(labels, dtype=object)[orders - 1]
+def _order_labels(orders: np.ndarray, labels) -> list[LabelColumn]:
+    """One table column per position: the component label there in each order."""
+    return [LabelColumn(labels, components - 1) for components in orders.T]
 
 
 def _resolve_model(args: argparse.Namespace) -> ModelSpec:
@@ -129,7 +130,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
             )
     header = [f"pos_{k}" for k in range(1, args.m + 1)]
     named = labels or tuple(str(c) for c in range(1, args.m + 1))
-    _emit_table(args, header, list(_order_labels(order_array(args.m), named).T))
+    _emit_table(args, header, _order_labels(order_array(args.m), named))
 
 
 def _cmd_matrix(args: argparse.Namespace) -> None:
@@ -206,7 +207,7 @@ def _cmd_average(args: argparse.Namespace) -> None:
         if not 1 <= args.top <= len(averaged):
             raise ValidationError(f"--top must be in 1..{len(averaged)}, got {args.top}")
         rows = np.argsort(averaged.ranks)[: args.top]
-    columns = list(_order_labels(averaged.orders[rows], labels).T)
+    columns = _order_labels(averaged.orders[rows], labels)
     for _, est, ranks in per_model:
         columns += [est[rows], ranks[rows]]
     columns += [averaged.estimates[rows], averaged.ranks[rows], averaged.std_errors[rows]]
@@ -228,7 +229,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
         )
     if args.top is not None:
         table = top_k(table, args.top)
-    names = _order_labels(table.orders, fit.data.design.component_labels)
+    names = np.array(fit.data.design.component_labels, dtype=object)[table.orders - 1]
     order_column = [" ".join(row) for row in names.tolist()]
     _emit_table(args, ["order", "estimate", "std_error", "rank"],
                 [order_column, table.estimates, table.std_errors, table.ranks])

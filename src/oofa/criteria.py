@@ -14,10 +14,20 @@ sigma^2 |X^T X|^{1/p} (maximize) are provided for comparison; A is *not*
 reparameterization-invariant, which is why an orthogonal coding
 (X_f^T X_f = w I) is offered -- under it, av coincides with the A-criterion.
 
-The w-row moment matrices X_f^T X_f and X_f^T (I - J/w) X_f depend only on
+The moment matrices X_f^T X_f and X_f^T (I - J/w) X_f depend only on
 (model, m) and are cached; the p x p versions are all the criteria ever
-touch.  Block labels on a design are deliberately ignored here: blocks are
-fitted nuisance parameters, not part of the prediction target.
+touch.  They need not be summed over all m! orders.  Each column depends
+on the positions of at most k/2 components, so an entry depends on at
+most k, and relabeling components maps the uniform distribution on
+orders onto itself: an entry equals (m-k)! times the same sum at its
+canonical pair (components mapped order-preservingly onto 1..k) over the
+m!/(m-k)! orders in which components k+1..m appear in ascending order.
+k is 4 for pwo, tpwo, rs2 and nn, 6 for rs3 and rs3s and 2 for cp, so at
+m = 8 the sums run over 1,680 orders (20,160 for rs3 and rs3s, 56 for cp)
+instead of 40,320, exactly wherever the rows are integers; up to m = 6
+they run over all m! orders in floating point.
+Block labels on a design are deliberately ignored here: blocks are fitted
+nuisance parameters, not part of the prediction target.
 
 All four criteria are read off one thin SVD of X by a single batched
 kernel, :func:`criterion_values`, which the design search shares; X^T X is
@@ -41,7 +51,13 @@ import numpy as np
 from .design import Design
 from .errors import EstimabilityError, ValidationError
 from .fitting import RANK_RTOL, check_weights
-from .models import ModelSpec, build_matrix, factorial_blocks, full_factorial_matrix
+from .models import (
+    ModelSpec,
+    build_matrix,
+    factorial_blocks,
+    full_factorial_matrix,
+    moment_orders,
+)
 
 
 class CriterionKind(str, enum.Enum):
@@ -197,36 +213,71 @@ def _single_value(x: np.ndarray, rows: MemberRows, what: str = "design matrix") 
 def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(X_f^T X_f, X_f^T (I - J/w) X_f, w), computed once per (model, m).
 
-    X_f is streamed in blocks of rows (:func:`~oofa.models.factorial_blocks`)
-    and never held whole.  The centered moment is accumulated about a fixed
-    shift c, the column means of the first block, which samples all orders:
-    X_f^T (I - J/w) X_f = (X_f - 1c)^T (X_f - 1c) - s s^T / w, with s the
-    column sums of X_f - 1c.  Summing about c rather than 0 keeps the
-    cancellation small: X_f^T X_f - s s^T / w with s the plain column sums
-    loses about two digits for rs2 and rs3.  s leaves out the first block,
-    which sums to zero about its own mean up to rounding, so that a single
-    block gives exactly the Gram of the centered rows.
+    Both are Gram matrices over the w = m! orders, summed over the order set
+    of :func:`~oofa.models.moment_orders` and expanded.  Each column depends
+    on the positions of at most k/2 components: k = 4 for pwo, tpwo, rs2 and
+    nn, 6 for rs3 and rs3s, 2 for cp.  Relabeling components maps the
+    uniform distribution on orders onto itself, so entry (i, j) equals the
+    entry at its canonical pair, whose components are those of columns i
+    and j mapped order-preservingly onto 1..k.  Over the m!/(m-k)! orders
+    in which components k+1..m appear in ascending order, the positions of
+    components 1..k take each ordered placement once, so that entry is
+    (m-k)! times its sum over these orders: 1,680 of them at m = 8 (20,160
+    for rs3 and rs3s, 56 for cp) instead of 40,320.  The centered moment
+    expands the same way, because the canonical columns have the same means
+    over these orders as over all.  When m! fits in one block of rows, or
+    m - k < 2, all m! orders are summed as they are (every m <= 6).
+
+    The rows are streamed in blocks (:func:`~oofa.models.factorial_blocks`)
+    and never held whole.  Where ``divisor`` is set (from m = 7 on, every
+    family but tpwo with the invh or geom taper), the rows are built at the
+    integer positions q_c, their Gram G and column sums s are exact, and
+    each entry takes one correctly rounded division: G / D and
+    (n G - s s^T) / (n D), D the divisor.  Otherwise the centered moment
+    is accumulated in floating point about a fixed shift c, the column
+    means of the first block, which samples all orders:
+    X^T (I - J/n) X = (X - 1c)^T (X - 1c) - s s^T / n, with s the column
+    sums of X - 1c.  Summing about c rather than 0 keeps the cancellation
+    small: X^T X - s s^T / n with s the plain column sums loses about two
+    digits for rs2 and rs3.  s leaves out the first block, which sums to
+    zero about its own mean up to rounding, so that a single block gives
+    exactly the Gram of the centered rows.
 
     Immutable after creation; concurrent readers are safe (worst case two
     threads build the same entry once).
     """
+    orders = moment_orders(spec, m)
     p = spec.param_count(m)
-    plain, shifted, sums, w = np.zeros((p, p)), np.zeros((p, p)), np.zeros(p), 0
-    shift = None
-    for _, block in factorial_blocks(spec, m):
-        plain += block.T @ block
-        if shift is None:
-            shift = block.mean(axis=0)
-            block -= shift
-        else:
-            block -= shift
+    plain, sums, n = np.zeros((p, p)), np.zeros(p), 0
+    blocks = factorial_blocks(spec, m, orders.positions, standardized=orders.divisor is None)
+    if orders.divisor is None:
+        shifted, shift = np.zeros((p, p)), None
+        for _, block in blocks:
+            plain += block.T @ block
+            if shift is None:
+                shift = block.mean(axis=0)
+                block -= shift
+            else:
+                block -= shift
+                sums += block.sum(axis=0)
+            shifted += block.T @ block
+            n += len(block)
+        centered = shifted - np.outer(sums, sums) / n
+        if orders.repeats > 1:
+            plain, centered = orders.repeats * plain, orders.repeats * centered
+    else:
+        for _, block in blocks:
+            plain += block.T @ block
             sums += block.sum(axis=0)
-        shifted += block.T @ block
-        w += len(block)
-    centered = shifted - np.outer(sums, sums) / w
+            n += len(block)
+        # Integers below 2**53 (at most 4.4e13, rs3 at m = 8): every step is exact but the division.
+        centered = orders.repeats * (n * plain - np.outer(sums, sums)) / (n * orders.divisor)
+        plain = orders.repeats * plain / orders.divisor
+    if orders.canonical is not None:
+        plain, centered = plain.take(orders.canonical), centered.take(orders.canonical)
     plain.setflags(write=False)
     centered.setflags(write=False)
-    return plain, centered, w
+    return plain, centered, n * orders.repeats
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -165,12 +166,23 @@ def write_design(target, obj: Design | Dataset, run_index: bool = False) -> None
             stream.close()
 
 
+@dataclass(frozen=True, eq=False)
+class LabelColumn:
+    """A table column whose cells are ``labels[codes]``, such as the component
+    labels at one position of every order: :func:`write_table` tells their
+    type from the few labels rather than from each cell."""
+
+    labels: Sequence
+    codes: np.ndarray
+
+
 def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: str = "csv") -> None:
     """Write a table given column by column, as CSV or as JSON text.
 
-    Each column is a 1-D array or sequence whose cells share one type:
-    strings are written as they are, booleans as ``true``/``false``,
-    integers in decimal and floats as :func:`format_float` does in CSV.
+    Each column is a :class:`LabelColumn`, or a 1-D array or sequence whose
+    cells share one type: strings are written as they are, booleans as
+    ``true``/``false``, integers in decimal and floats as
+    :func:`format_float` does in CSV.
     ``fmt="json"`` writes exactly ``json.dumps(records, indent=2)`` of the
     list of row objects (keys in header order, NaN as ``null``) and a
     newline.  Rows are formatted and written BLOCK_ROWS at a time, so the
@@ -228,6 +240,9 @@ def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None
 
 def _typed_column(column) -> tuple[str, object]:
     """(kind, values): kind 'f', 'i', 'b' or 's' says how the cells are written."""
+    if isinstance(column, LabelColumn):
+        kind, labels = _typed_column(list(column.labels))
+        return kind, np.array(labels, dtype=object)[column.codes]
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         kind = "i" if column.dtype.kind == "u" else column.dtype.kind
         return kind, column

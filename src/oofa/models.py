@@ -51,8 +51,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -292,8 +294,17 @@ def _surface_groups(family: Family, p: np.ndarray) -> list[np.ndarray]:
     return groups
 
 
-def _model_rows(spec: ModelSpec, q: np.ndarray) -> np.ndarray:
-    """(n, p) model rows of the runs whose positions q_c are the rows of ``q``."""
+#: The degree in the positions of each group of :func:`_surface_groups`.
+_SURFACE_DEGREES = {Family.RS2: (1, 2, 2), Family.RS3: (1, 2, 3, 3), Family.RS3_SPECIAL: (1, 2, 3)}
+
+
+def _model_rows(spec: ModelSpec, q: np.ndarray, standardized: bool = True) -> np.ndarray:
+    """(n, p) model rows of the runs whose positions q_c are the rows of ``q``.
+
+    With ``standardized`` false the surface families put q_c itself in place
+    of p_c, so that every family but tpwo with the invh or geom taper has
+    integer entries (see :func:`moment_orders`).
+    """
     n, m = q.shape
     _check_supported(spec, m)
     f = spec.family
@@ -312,7 +323,7 @@ def _model_rows(spec: ModelSpec, q: np.ndarray) -> np.ndarray:
         c, d = np.nonzero(~np.eye(m, dtype=bool))
         groups.append(q[d] - q[c] == 1)
     else:
-        groups += _surface_groups(f, q * (2.0 / (m * (m + 1))))
+        groups += _surface_groups(f, q * (2.0 / (m * (m + 1))) if standardized else q)
     return _rows_from_groups(groups)
 
 
@@ -349,21 +360,163 @@ def _matrix_from_positions(spec: ModelSpec, q: np.ndarray) -> DesignMatrix:
     return DesignMatrix(values, term_labels(spec, q.shape[1]), q.shape[1], spec)
 
 
-def factorial_blocks(spec: ModelSpec, m: int) -> Iterator[tuple[slice, np.ndarray]]:
+def factorial_blocks(
+    spec: ModelSpec, m: int, positions: np.ndarray | None = None, standardized: bool = True
+) -> Iterator[tuple[slice, np.ndarray]]:
     """The model rows of all m! orders, at most :data:`BLOCK_ROWS` at a time,
     as (rows, block) pairs: ``block`` is C-contiguous and holds the rows
-    ``rows`` of the full factorial (:func:`full_factorial_matrix`).
+    ``rows`` of the full factorial (:func:`full_factorial_matrix`).  Given
+    ``positions``, an (n, m) array of positions q_c such as
+    :func:`moment_orders` returns, the rows are those of its orders instead;
+    ``standardized`` is passed on to the row builder.
 
     With k blocks, block b holds the orders b, b + k, b + 2k, ..., so every
     block is a sample spread over all orders, and a single block is the
     whole matrix.  Consumers that reduce over the orders (moments,
     predictions) hold O(BLOCK_ROWS * p) model rows instead of m! x p.
     """
-    q = _factorial_positions(m)
+    q = _factorial_positions(m) if positions is None else positions
     count = -(-len(q) // BLOCK_ROWS)
     for b in range(count):
         rows = slice(b, None, count)
-        yield rows, _model_rows(spec, q[rows])
+        yield rows, _model_rows(spec, q[rows], standardized)
+
+
+@dataclass(frozen=True, eq=False)
+class MomentOrders:
+    """How to sum a Gram matrix of model rows over all m! orders: see
+    :func:`moment_orders`."""
+
+    #: (n, m) positions of the orders to sum over; None for all m! orders.
+    positions: np.ndarray | None
+    #: (p, p) flat index of the canonical pair of each entry; None: the entry itself.
+    canonical: np.ndarray | None
+    #: How many of all m! orders each order summed over stands for.
+    repeats: int
+    #: (p, p) integers T^(d_i + d_j), T = m(m+1)/2 and d_i the degree of
+    #: column i in the positions (0 outside the surface families): a Gram of
+    #: the rows built at q_c (``standardized`` false), over these, is the
+    #: Gram of the model rows.  None where those rows are not integers (tpwo
+    #: with the invh or geom taper), which are built standardized.
+    divisor: np.ndarray | None
+
+
+#: All m! orders, summed in floating point as they are.
+_ALL_ORDERS = MomentOrders(None, None, 1, None)
+
+
+def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:
+    """The orders a Gram matrix over all m! orders can be summed over, and
+    how to expand that sum.
+
+    Each column depends on the positions of at most k/2 components (a position
+    index such as j in ``tau_c_j`` is fixed, not a component), so an entry
+    (i, j) of the Gram depends on the positions of the set U of at most k
+    components of columns i and j.  Under the uniform distribution on orders
+    the positions of any |U| distinct components are uniform over their
+    ordered placements, whichever components they are.  So the entry equals
+    the entry at the canonical pair, the columns whose components are U
+    mapped order-preservingly onto 1..|U| (which keeps the sign of x_cd and
+    a_cd), and that entry depends on components 1..k only.  Over the
+    m!/(m-k)! orders in which components k+1..m appear in ascending order,
+    the positions of components 1..k take each ordered placement once, so
+    the sum over all m! orders is ``repeats`` = (m-k)! times the sum over
+    these.  k is 4, but 6 for rs3 and rs3s and 2 for cp.
+
+    An entry taken from its canonical pair keeps that pair's rounding error,
+    which no longer cancels as it does within a Gram: summed in floating
+    point, the surface families' av and apv come out up to 4x less accurate
+    at m = 8 than from a sum over all orders.  So wherever rows built at q_c
+    rather than p_c are integers, they are, and their sums are exact;
+    ``divisor`` turns them into the moments of the model rows with one
+    rounding per entry.
+
+    All m! orders are summed as they are when m - k < 2 leaves nothing to
+    gain, and in floating point when they fit in one block of
+    :data:`BLOCK_ROWS` rows, which keeps the arithmetic of the whole matrix
+    for small m.
+    """
+    if factorial(m) <= BLOCK_ROWS:
+        return _ALL_ORDERS
+    integer = spec.family is not Family.TPWO or spec.taper.kind is TaperKind.LINEAR
+    divisor = _position_divisor(spec, m) if integer else None
+    k = 2 * _TERM_COMPONENTS.get(spec.family, 2)
+    if m - k < 2:
+        return MomentOrders(None, None, 1, divisor)
+    # Row i of order_array read as positions rather than components: the rows
+    # (m-k)! apart are the first completion of each prefix, whose last m - k
+    # entries ascend, so components k+1..m take ascending positions.
+    positions = order_array(m)[::factorial(m - k)].astype(float)
+    return MomentOrders(positions, _canonical_pairs(spec, m, k), factorial(m - k), divisor)
+
+
+def _position_divisor(spec: ModelSpec, m: int) -> np.ndarray:
+    """(p, p) integers T^(d_i + d_j) of :class:`MomentOrders`."""
+    if spec.family in _SURFACE_DEGREES:
+        sizes = [len(group) for group in _surface_groups(spec.family, np.ones((m, 1)))]
+        degrees = np.repeat(_SURFACE_DEGREES[spec.family], sizes)
+    else:
+        degrees = np.zeros(spec.param_count(m), dtype=np.intp)
+    powers = np.array([(m * (m + 1) // 2) ** d for d in range(2 * degrees.max() + 1)], dtype=float)
+    return powers[np.add.outer(degrees, degrees)]
+
+
+#: The most components one column of a family depends on, where not 2.
+_TERM_COMPONENTS = {Family.CP: 1, Family.RS3: 3, Family.RS3_SPECIAL: 3}
+
+#: A component index in a column label: the digits after an underscore.
+_COMPONENT = re.compile(r"(?<=_)\d+")
+
+
+def _term_parts(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(templates, components) of the columns, parsed from :func:`term_labels`.
+
+    ``templates[i]`` numbers the label of column i with its components taken
+    out (``x_3_5`` and ``x_1_2`` share one, ``tau_3_1`` and ``tau_3_2`` do
+    not: j is a position); row i of ``components`` holds its components,
+    padded with 0.
+    """
+    parts = []
+    for label in term_labels(spec, m):
+        if label.startswith("tau_"):
+            c, j = label[4:].split("_")
+            parts.append((f"tau__{j}", (int(c),)))
+        else:
+            parts.append((_COMPONENT.sub("", label), tuple(map(int, _COMPONENT.findall(label)))))
+    names = {name: t for t, name in enumerate(dict.fromkeys(name for name, _ in parts))}
+    components = np.zeros((len(parts), max(len(comps) for _, comps in parts)), dtype=np.intp)
+    for i, (_, comps) in enumerate(parts):
+        components[i, :len(comps)] = comps
+    return np.array([names[name] for name, _ in parts], dtype=np.intp), components
+
+
+@lru_cache(maxsize=None)
+def _canonical_pairs(spec: ModelSpec, m: int, k: int) -> np.ndarray:
+    """(p, p) flat indices i' p + j' of the canonical pair of each entry (i, j)
+    of a Gram matrix (see :func:`moment_orders`), computed for all pairs at
+    once.  Raises if a pair has more than k components or a canonical column
+    does not exist."""
+    templates, components = _term_parts(spec, m)
+    p, width = components.shape
+    i = np.arange(p)[:, None, None]
+    j = np.arange(p)[None, :, None]
+    # in_union[i, j, c]: component c belongs to column i or column j (slot 0 is padding)
+    in_union = np.zeros((p, p, m + 1), dtype=bool)
+    in_union[i, j, components[:, None, :]] = True
+    in_union[i, j, components[None, :, :]] = True
+    in_union[:, :, 0] = False
+    # rank[i, j, c]: how many components of the union are <= c, so 0 for padding
+    rank = np.cumsum(in_union, axis=2)
+    # a column is looked up by its template and its components as digits in base m + 1
+    span = (m + 1) ** width
+    digits = (m + 1) ** np.arange(width - 1, -1, -1)
+    lookup = np.full((templates.max() + 1) * span, -1, dtype=np.intp)
+    lookup[templates * span + components @ digits] = np.arange(p)
+    canonical_i = lookup[templates[:, None] * span + rank[i, j, components[:, None, :]] @ digits]
+    canonical_j = lookup[templates[None, :] * span + rank[i, j, components[None, :, :]] @ digits]
+    if rank.max() > k or (canonical_i < 0).any() or (canonical_j < 0).any():
+        raise RuntimeError(f"{spec.label} at m = {m} has no canonical columns within 1..{k}")
+    return canonical_i * p + canonical_j
 
 
 @lru_cache(maxsize=None)

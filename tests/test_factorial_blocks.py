@@ -4,10 +4,15 @@ Moments, predictions and model averages walk the m! orders in blocks of
 ``models.BLOCK_ROWS`` rows; the search and these tests still build the whole
 matrix with ``full_factorial_matrix``.  The blocked results must match the
 whole-matrix ones bit for bit at the default block size and as one block,
-and up to rounding at any block size.
+and up to rounding at any block size.  Once m! exceeds one block (m >= 7),
+the moments are summed over a symmetry-reduced set of orders instead
+(``models.moment_orders``) and must match the whole matrix up to rounding,
+or exactly where the rows are integers.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +40,7 @@ from oofa.perms import order_array
 
 ALL_LABELS = ["pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear",
               "cp", "rs2", "rs3", "rs3s", "nn"]
-INTEGER_LABELS = ["pwo", "cp", "nn"]
+INTEGER_LABELS = ["pwo", "tpwo:linear", "cp", "nn"]
 
 
 def _specs(m):
@@ -171,6 +176,104 @@ def test_factorial_moments_do_not_depend_on_the_block_size(m, monkeypatch):
             other_plain, other_centered, _ = _fresh_moments(spec, m)
             assert _frobenius_rel(other_plain, plain) <= 1e-13, (spec.label, size)
             assert _frobenius_rel(other_centered, centered) <= 1e-13, (spec.label, size)
+
+
+#: k of each family: a moment entry depends on the positions of at most k components.
+SYMMETRY_K = {"rs3": 6, "rs3s": 6}
+
+
+def _count_rows(monkeypatch):
+    """Wrap the model-row builder; the returned list collects the rows it builds."""
+    built, build = [], models._model_rows
+
+    def counting(spec, q, *args):
+        built.append(len(q))
+        return build(spec, q, *args)
+
+    monkeypatch.setattr(models, "_model_rows", counting)
+    return built
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_factorial_moments_build_a_symmetry_reduced_order_set(m, monkeypatch):
+    """m!/(m - k)! model rows at m = 7 and 8; all m! rows, and the arithmetic
+    of the whole matrix bit for bit, at m <= 6."""
+    w = math.factorial(m)
+    for spec in _specs(m):
+        built = _count_rows(monkeypatch)
+        plain, centered, count = _fresh_moments(spec, m)
+        built = sum(built)
+        assert count == w
+        if m <= 6:
+            xf = _whole(spec, m)
+            rows = xf - xf.mean(axis=0)
+            assert built == w, spec.label
+            assert np.array_equal(plain, xf.T @ xf), spec.label
+            assert np.array_equal(centered, rows.T @ rows), spec.label
+        else:
+            k = SYMMETRY_K.get(spec.family.value, 4)
+            assert built <= w // math.factorial(m - k), spec.label
+
+
+@pytest.mark.parametrize("m", range(6, 9))
+def test_moment_orders_place_the_first_k_components_every_way_once(m):
+    for label, k in (("pwo", 4), ("rs3", 6), ("cp", 2), ("tpwo:invh", 4)):
+        orders = models.moment_orders(parse_model(label), m)
+        if math.factorial(m) <= models.BLOCK_ROWS or m - k < 2:
+            assert orders.positions is None and orders.canonical is None and orders.repeats == 1
+            continue
+        positions = orders.positions
+        assert orders.repeats == math.factorial(m - k)
+        assert len(positions) == math.factorial(m) // orders.repeats
+        assert np.array_equal(np.sort(positions, axis=1), np.tile(np.arange(1, m + 1), (len(positions), 1)))
+        assert len({tuple(row) for row in positions[:, :k]}) == len(positions)
+        assert np.all(np.diff(positions[:, k:], axis=1) > 0)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_moment_rows_are_integers_where_a_divisor_is_given(label):
+    """Rows at q_c give the Gram of the model rows over the divisor."""
+    spec, m = parse_model(label), 7
+    orders = models.moment_orders(spec, m)
+    assert (orders.divisor is None) == (label in ("tpwo:invh", "tpwo:geom=0.5"))
+    if orders.divisor is not None:
+        q = models._positions(order_array(m))
+        rows = models._model_rows(spec, q, standardized=False)
+        assert np.array_equal(rows, np.rint(rows))
+        xf = _whole(spec, m)
+        assert _frobenius_rel((rows.T @ rows) / orders.divisor, xf.T @ xf) <= 1e-14
+
+
+def test_canonical_pairs_refuse_a_too_small_k():
+    with pytest.raises(RuntimeError, match="canonical"):
+        models._canonical_pairs(parse_model("pwo"), 8, 2)
+
+
+@pytest.mark.parametrize("m", range(6, 9))
+def test_rs2_moments_match_an_exact_integer_gram(m):
+    """The rs2 columns are s q_c, s^2 q_c^2 and s^2 q_c q_d with s = 2/(m(m+1)),
+    so X_f^T X_f is an int64 Gram of (q_c, q_c^2, q_c q_d) times powers of s."""
+    q = models._positions(order_array(m)).astype(np.int64).T
+    c, d = np.triu_indices(m - 1, 1)
+    monomials = np.concatenate([q[:m - 1], q[:m - 1] ** 2, q[c] * q[d]]).T
+    degree = np.repeat([1, 2, 2], [m - 1, m - 1, len(c)])
+    gram = monomials.T @ monomials
+    sums = monomials.sum(axis=0)
+    scale = (2.0 / (m * (m + 1))) ** np.add.outer(degree, degree)
+    exact_plain = gram * scale
+    w = math.factorial(m)
+    exact_centered = (w * gram - np.outer(sums, sums)) * scale / w  # the bracket is exact in int64
+    plain, centered, _ = _fresh_moments(parse_model("rs2"), m)
+    assert np.abs(plain - exact_plain).max() <= 1e-14 * np.abs(exact_plain).max()
+    assert np.abs(centered - exact_centered).max() <= 1e-14 * np.abs(exact_centered).max()
+    if m >= 7:  # exact sums of integer rows: each entry is the correctly rounded value
+        t = m * (m + 1) // 2
+        p = len(degree)
+        for i, j in itertools.product(range(p), repeat=2):
+            power = t ** int(degree[i] + degree[j])
+            assert plain[i, j] == float(Fraction(int(gram[i, j]), power))
+            numerator = int(w * gram[i, j] - sums[i] * sums[j])
+            assert centered[i, j] == float(Fraction(numerator, w * power))
 
 
 # -- predictions and averages --------------------------------------------------

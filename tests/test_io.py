@@ -20,11 +20,13 @@ from oofa import (
 )
 from oofa.dataio import (
     COEF_RTOL,
+    LabelColumn,
     fit_from_dict,
     fit_to_dict,
     format_float,
     table_to_csv,
     table_to_json,
+    write_table,
 )
 
 
@@ -120,6 +122,20 @@ def test_format_float():
 def test_table_to_csv_formats_cells():
     text = table_to_csv(["name", "value", "count"], [["x", 1 / 3, 2]])
     assert text == "name,value,count\nx,0.333333333333,2\n"
+
+
+@pytest.mark.parametrize("labels", [("A", "b,c", 'd"e', "f\x00"), (1, 2, 3, 4), (0.5, 1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_label_columns_write_like_their_cells(labels, fmt):
+    """A LabelColumn is typed from its labels, and writes what its cells would."""
+    codes = np.random.default_rng(0).integers(0, len(labels), size=(2, 9000))
+    cells = [[labels[c] for c in row] for row in codes]
+    header = ["first", "second", "n"]
+    out, want = io.StringIO(), io.StringIO()
+    write_table(out, header, [LabelColumn(labels, codes[0]), LabelColumn(labels, codes[1]),
+                              np.arange(9000)], fmt)
+    write_table(want, header, [cells[0], cells[1], np.arange(9000)], fmt)
+    assert out.getvalue() == want.getvalue()
 
 
 def test_table_to_json_key_order_and_nan():
