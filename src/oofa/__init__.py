@@ -14,7 +14,6 @@ from .averaging import (
     AveragedPrediction,
     CandidateSet,
     average_predictions,
-    average_variance_summary,
     combine_predictions,
 )
 from .criteria import (
@@ -108,7 +107,6 @@ __all__ = [
     "apv",
     "av",
     "average_predictions",
-    "average_variance_summary",
     "build_matrix",
     "check_capacity",
     "combine_predictions",

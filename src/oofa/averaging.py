@@ -133,9 +133,3 @@ def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
         order_array(m), avg, var, np.sqrt(var), rank_descending(avg), model_est, model_ranks
     )
 
-
-def average_variance_summary(prediction: AveragedPrediction) -> float:
-    """Mean of the averaged-prediction variances over all orders."""
-    if len(prediction) == 0:
-        raise ValidationError("empty prediction table")
-    return float(np.mean(prediction.variances))

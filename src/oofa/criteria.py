@@ -22,10 +22,12 @@ most k, and relabeling components maps the uniform distribution on
 orders onto itself: an entry equals (m-k)! times the same sum at its
 canonical pair (components mapped order-preservingly onto 1..k) over the
 m!/(m-k)! orders in which components k+1..m appear in ascending order.
-k is 4 for pwo, tpwo, rs2 and nn, 6 for rs3 and rs3s and 2 for cp, so at
-m = 8 the sums run over 1,680 orders (20,160 for rs3 and rs3s, 56 for cp)
-instead of 40,320, exactly wherever the rows are integers; up to m = 6
-they run over all m! orders in floating point.
+k is 4 for pwo, tpwo, rs2 and nn, 6 for rs3 and rs3s and 2 for cp (m
+where that is smaller), so at m = 8 the sums run over 1,680 orders
+(20,160 for rs3 and rs3s, 56 for cp) instead of 40,320.  At every m the
+rows are summed as integers wherever they can be made integers (every
+family but tpwo with the geom taper), so each moment entry is the
+correctly rounded exact value.
 Block labels on a design are deliberately ignored here: blocks are fitted
 nuisance parameters, not part of the prediction target.
 
@@ -216,65 +218,41 @@ def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, 
     Both are Gram matrices over the w = m! orders, summed over the order set
     of :func:`~oofa.models.moment_orders` and expanded.  Each column depends
     on the positions of at most k/2 components: k = 4 for pwo, tpwo, rs2 and
-    nn, 6 for rs3 and rs3s, 2 for cp.  Relabeling components maps the
-    uniform distribution on orders onto itself, so entry (i, j) equals the
-    entry at its canonical pair, whose components are those of columns i
-    and j mapped order-preservingly onto 1..k.  Over the m!/(m-k)! orders
-    in which components k+1..m appear in ascending order, the positions of
-    components 1..k take each ordered placement once, so that entry is
-    (m-k)! times its sum over these orders: 1,680 of them at m = 8 (20,160
-    for rs3 and rs3s, 56 for cp) instead of 40,320.  The centered moment
-    expands the same way, because the canonical columns have the same means
-    over these orders as over all.  When m! fits in one block of rows, or
-    m - k < 2, all m! orders are summed as they are (every m <= 6).
+    nn, 6 for rs3 and rs3s, 2 for cp, or m where that is smaller.
+    Relabeling components maps the uniform distribution on orders onto
+    itself, so entry (i, j) equals the entry at its canonical pair, whose
+    components are those of columns i and j mapped order-preservingly onto
+    1..k.  Over the m!/(m-k)! orders in which components k+1..m appear in
+    ascending order, the positions of components 1..k take each ordered
+    placement once, so that entry is (m-k)! times its sum over these orders:
+    1,680 of them at m = 8 (20,160 for rs3 and rs3s, 56 for cp) instead of
+    40,320.  The centered moment expands the same way, because the
+    canonical columns have the same means over these orders as over all.
 
     The rows are streamed in blocks (:func:`~oofa.models.factorial_blocks`)
-    and never held whole.  Where ``divisor`` is set (from m = 7 on, every
-    family but tpwo with the invh or geom taper), the rows are built at the
-    integer positions q_c, their Gram G and column sums s are exact, and
-    each entry takes one correctly rounded division: G / D and
-    (n G - s s^T) / (n D), D the divisor.  Otherwise the centered moment
-    is accumulated in floating point about a fixed shift c, the column
-    means of the first block, which samples all orders:
-    X^T (I - J/n) X = (X - 1c)^T (X - 1c) - s s^T / n, with s the column
-    sums of X - 1c.  Summing about c rather than 0 keeps the cancellation
-    small: X^T X - s s^T / n with s the plain column sums loses about two
-    digits for rs2 and rs3.  s leaves out the first block, which sums to
-    zero about its own mean up to rounding, so that a single block gives
-    exactly the Gram of the centered rows.
+    and never held whole.  They are built at the integer positions q_c (the
+    invh taper scaled by lcm(1..m-1)), so for every family but tpwo with the
+    geom taper their Gram G and column sums s are exact, and each entry
+    takes one correctly rounded division: G / D and (n G - s s^T) / (n D),
+    D the divisor.  The geom rows are summed in floating point the same way;
+    their tapered columns have mean zero and the intercept's centered entry
+    is exactly n n - n n = 0, so n G - s s^T loses no digits to cancellation.
 
     Immutable after creation; concurrent readers are safe (worst case two
     threads build the same entry once).
     """
     orders = moment_orders(spec, m)
     p = spec.param_count(m)
-    plain, sums, n = np.zeros((p, p)), np.zeros(p), 0
-    blocks = factorial_blocks(spec, m, orders.positions, standardized=orders.divisor is None)
-    if orders.divisor is None:
-        shifted, shift = np.zeros((p, p)), None
-        for _, block in blocks:
-            plain += block.T @ block
-            if shift is None:
-                shift = block.mean(axis=0)
-                block -= shift
-            else:
-                block -= shift
-                sums += block.sum(axis=0)
-            shifted += block.T @ block
-            n += len(block)
-        centered = shifted - np.outer(sums, sums) / n
-        if orders.repeats > 1:
-            plain, centered = orders.repeats * plain, orders.repeats * centered
-    else:
-        for _, block in blocks:
-            plain += block.T @ block
-            sums += block.sum(axis=0)
-            n += len(block)
-        # Integers below 2**53 (at most 4.4e13, rs3 at m = 8): every step is exact but the division.
-        centered = orders.repeats * (n * plain - np.outer(sums, sums)) / (n * orders.divisor)
-        plain = orders.repeats * plain / orders.divisor
-    if orders.canonical is not None:
-        plain, centered = plain.take(orders.canonical), centered.take(orders.canonical)
+    gram, sums, n = np.zeros((p, p)), np.zeros(p), 0
+    for _, block in factorial_blocks(spec, m, orders.positions, standardized=False):
+        gram += block.T @ block
+        sums += block.sum(axis=0)
+        n += len(block)
+    # Integer rows keep every step below 2**53 (the largest is n D = 4.4e13, rs3 at
+    # m = 8), so all is exact but the division.
+    centered = orders.repeats * (n * gram - np.outer(sums, sums)) / (n * orders.divisor)
+    plain = orders.repeats * gram / orders.divisor
+    plain, centered = plain.take(orders.canonical), centered.take(orders.canonical)
     plain.setflags(write=False)
     centered.setflags(write=False)
     return plain, centered, n * orders.repeats

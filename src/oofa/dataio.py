@@ -45,7 +45,8 @@ def format_float(value: float) -> str:
 def _open_source(source) -> tuple[IO[str], bool]:
     if hasattr(source, "read"):
         return source, False
-    return open(Path(source), "r", encoding="utf-8", newline=""), True
+    # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes first
+    return open(Path(source), "r", encoding="utf-8-sig", newline=""), True
 
 
 def _open_target(target) -> tuple[IO[str], bool]:

@@ -54,7 +54,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -302,8 +302,9 @@ def _model_rows(spec: ModelSpec, q: np.ndarray, standardized: bool = True) -> np
     """(n, p) model rows of the runs whose positions q_c are the rows of ``q``.
 
     With ``standardized`` false the surface families put q_c itself in place
-    of p_c, so that every family but tpwo with the invh or geom taper has
-    integer entries (see :func:`moment_orders`).
+    of p_c and the invh taper puts lcm(1..m-1) / h in place of 1 / h, so
+    that every family but tpwo with the geom taper has integer entries (see
+    :func:`moment_orders`).
     """
     n, m = q.shape
     _check_supported(spec, m)
@@ -315,7 +316,10 @@ def _model_rows(spec: ModelSpec, q: np.ndarray, standardized: bool = True) -> np
         diff = q[d] - q[c]
         sign = np.where(diff > 0, 1.0, -1.0)
         if f is Family.TPWO:
-            sign *= _taper_table(spec.taper, m)[np.abs(diff).astype(np.intp) - 1]
+            z = _taper_table(spec.taper, m)
+            if not standardized and spec.taper.kind is TaperKind.INV_H:
+                z = lcm(*range(1, m)) // np.arange(1, m)
+            sign *= z[np.abs(diff).astype(np.intp) - 1]
         groups.append(sign)
     elif f is Family.CP:
         groups.append((q[:m - 1, None] == np.arange(1, m)[:, None]).reshape(-1, n))
@@ -387,22 +391,19 @@ class MomentOrders:
     """How to sum a Gram matrix of model rows over all m! orders: see
     :func:`moment_orders`."""
 
-    #: (n, m) positions of the orders to sum over; None for all m! orders.
-    positions: np.ndarray | None
-    #: (p, p) flat index of the canonical pair of each entry; None: the entry itself.
-    canonical: np.ndarray | None
+    #: (n, m) positions of the orders to sum over.
+    positions: np.ndarray
+    #: (p, p) flat index of the canonical pair of each entry.
+    canonical: np.ndarray
     #: How many of all m! orders each order summed over stands for.
     repeats: int
-    #: (p, p) integers T^(d_i + d_j), T = m(m+1)/2 and d_i the degree of
-    #: column i in the positions (0 outside the surface families): a Gram of
-    #: the rows built at q_c (``standardized`` false), over these, is the
-    #: Gram of the model rows.  None where those rows are not integers (tpwo
-    #: with the invh or geom taper), which are built standardized.
-    divisor: np.ndarray | None
-
-
-#: All m! orders, summed in floating point as they are.
-_ALL_ORDERS = MomentOrders(None, None, 1, None)
+    #: (p, p) integers a_i a_j, where column i of the rows built at q_c
+    #: (``standardized`` false) is a_i times the model column: T^d_i for the
+    #: surface families, T = m(m+1)/2 and d_i the degree of column i in the
+    #: positions; lcm(1..m-1) for the tapered columns of tpwo:invh; 1
+    #: otherwise.  A Gram of those rows, over these, is the Gram of the
+    #: model rows.
+    divisor: np.ndarray
 
 
 def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:
@@ -421,44 +422,35 @@ def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:
     m!/(m-k)! orders in which components k+1..m appear in ascending order,
     the positions of components 1..k take each ordered placement once, so
     the sum over all m! orders is ``repeats`` = (m-k)! times the sum over
-    these.  k is 4, but 6 for rs3 and rs3s and 2 for cp.
+    these.  k is min(m, 4), but min(m, 6) for rs3 and rs3s and min(m, 2)
+    for cp; at k = m the orders are all m! of them.
 
     An entry taken from its canonical pair keeps that pair's rounding error,
-    which no longer cancels as it does within a Gram: summed in floating
-    point, the surface families' av and apv come out up to 4x less accurate
-    at m = 8 than from a sum over all orders.  So wherever rows built at q_c
-    rather than p_c are integers, they are, and their sums are exact;
-    ``divisor`` turns them into the moments of the model rows with one
-    rounding per entry.
-
-    All m! orders are summed as they are when m - k < 2 leaves nothing to
-    gain, and in floating point when they fit in one block of
-    :data:`BLOCK_ROWS` rows, which keeps the arithmetic of the whole matrix
-    for small m.
+    which no longer cancels as it does within a Gram.  So the rows are built
+    at q_c rather than p_c, and with the invh taper scaled by lcm(1..m-1):
+    every family but tpwo with the geom taper then has integer rows, whose
+    sums are exact, and ``divisor`` turns them into the moments of the model
+    rows with one rounding per entry.
     """
-    if factorial(m) <= BLOCK_ROWS:
-        return _ALL_ORDERS
-    integer = spec.family is not Family.TPWO or spec.taper.kind is TaperKind.LINEAR
-    divisor = _position_divisor(spec, m) if integer else None
-    k = 2 * _TERM_COMPONENTS.get(spec.family, 2)
-    if m - k < 2:
-        return MomentOrders(None, None, 1, divisor)
+    k = min(m, 2 * _TERM_COMPONENTS.get(spec.family, 2))
     # Row i of order_array read as positions rather than components: the rows
     # (m-k)! apart are the first completion of each prefix, whose last m - k
     # entries ascend, so components k+1..m take ascending positions.
     positions = order_array(m)[::factorial(m - k)].astype(float)
-    return MomentOrders(positions, _canonical_pairs(spec, m, k), factorial(m - k), divisor)
+    return MomentOrders(positions, _canonical_pairs(spec, m, k), factorial(m - k),
+                        _position_divisor(spec, m))
 
 
 def _position_divisor(spec: ModelSpec, m: int) -> np.ndarray:
-    """(p, p) integers T^(d_i + d_j) of :class:`MomentOrders`."""
+    """(p, p) integers a_i a_j of :class:`MomentOrders`."""
     if spec.family in _SURFACE_DEGREES:
         sizes = [len(group) for group in _surface_groups(spec.family, np.ones((m, 1)))]
-        degrees = np.repeat(_SURFACE_DEGREES[spec.family], sizes)
+        scale = np.repeat((m * (m + 1) // 2) ** np.array(_SURFACE_DEGREES[spec.family]), sizes)
     else:
-        degrees = np.zeros(spec.param_count(m), dtype=np.intp)
-    powers = np.array([(m * (m + 1) // 2) ** d for d in range(2 * degrees.max() + 1)], dtype=float)
-    return powers[np.add.outer(degrees, degrees)]
+        scale = np.ones(spec.param_count(m), dtype=np.int64)
+        if spec.family is Family.TPWO and spec.taper.kind is TaperKind.INV_H:
+            scale[1:] = lcm(*range(1, m))
+    return np.outer(scale, scale).astype(float)
 
 
 #: The most components one column of a family depends on, where not 2.

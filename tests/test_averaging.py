@@ -11,7 +11,6 @@ from oofa import (
     SaturatedModelError,
     ValidationError,
     average_predictions,
-    average_variance_summary,
     combine_predictions,
     ols_fit,
     parse_model,
@@ -133,9 +132,6 @@ def test_averaged_table_matches_oracle(m3_dataset, oracle_fixtures):
     np.testing.assert_allclose(averaged.variances, expected["variances"], rtol=1e-10)
     np.testing.assert_allclose(averaged.std_errors, expected["std_errors"], rtol=1e-10)
     np.testing.assert_array_equal(averaged.ranks, expected["ranks"])
-    assert average_variance_summary(averaged) == pytest.approx(
-        expected["mean_variance"], rel=1e-10
-    )
 
 
 def test_estimates_are_convex_in_models(m3_dataset):

@@ -465,6 +465,18 @@ def test_non_utf8_design_is_a_parse_error(capsys, tmp_path):
     assert "UTF-8" in err
 
 
+def test_design_file_may_start_with_a_utf8_bom(capsys, m3_csv, tmp_path):
+    """Excel's "CSV UTF-8" writes a byte-order mark before the header."""
+    path = tmp_path / "bom.csv"
+    with open(m3_csv, "rb") as fh:
+        path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    rc, expected, _ = run_cli(capsys, "fit", "--model", "pwo", "--data", m3_csv)
+    assert rc == 0
+    rc, out, err = run_cli(capsys, "fit", "--model", "pwo", "--data", str(path))
+    assert rc == 0, err
+    assert out == expected
+
+
 def test_importing_the_cli_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(oofa.__file__))
     env = dict(os.environ, PYTHONPATH=src)

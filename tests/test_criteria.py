@@ -25,8 +25,10 @@ from oofa import (
     d_criterion,
     enumerate_permutations,
     full_factorial_matrix,
+    models,
     orthogonal_coding,
     parse_model,
+    write_design,
 )
 from oofa.criteria import (
     a_from_matrix,
@@ -35,6 +37,8 @@ from oofa.criteria import (
     d_from_matrix,
     factorial_moments,
 )
+from oofa.cli import main
+from oofa.perms import order_array
 from oofa.search import random_design
 
 FIVE = ["pwo", "tpwo:invh", "cp", "rs2", "nn"]
@@ -122,10 +126,13 @@ def test_apv_av_match_oracle_on_fractions(label, orth):
             assert d_criterion(spec, design) == value(CriterionKind.D_OPT, design)
 
 
-def _exact_det_and_inverse_trace(a):
-    """(det A, tr A^-1) of a square matrix of Fractions, by Gauss-Jordan."""
+def _exact_det_and_inverse_trace(a, b=None):
+    """(det A, tr A^-1 B) of square matrices of Fractions, B = I unless given,
+    by Gauss-Jordan."""
     p = len(a)
-    rows = [row[:] + [Fraction(int(i == j)) for j in range(p)] for i, row in enumerate(a)]
+    if b is None:
+        b = [[Fraction(int(i == j)) for j in range(p)] for i in range(p)]
+    rows = [row[:] + extra[:] for row, extra in zip(a, b)]
     det = Fraction(1)
     for c in range(p):
         pivot_row = next(r for r in range(c, p) if rows[r][c] != 0)
@@ -157,6 +164,35 @@ def test_a_and_d_match_exact_arithmetic_on_an_ill_conditioned_design():
     d_exact = math.exp((math.log(det.numerator) - math.log(det.denominator)) / p)
     assert d_criterion(spec, design) == pytest.approx(d_exact, rel=1e-10)
     assert a_criterion(spec, design) == pytest.approx(float(trace / p), rel=1e-10)
+
+
+def _integer_gram(spec, orders):
+    """The exact Gram, as Fractions, of the model rows built at the integer
+    positions q_c: a column scaling of the model rows."""
+    rows = models._model_rows(spec, models._positions(orders), standardized=False)
+    assert np.array_equal(rows, np.rint(rows))
+    rows = rows.astype(np.int64)
+    return [[Fraction(int(v)) for v in row] for row in (rows.T @ rows).tolist()]
+
+
+@pytest.mark.parametrize("label", ["rs3", "rs3s"])
+def test_criteria_prints_every_digit_of_av_correctly(label, capsys, tmp_path):
+    """av = tr[M^-1 G] / w does not change under a column scaling, so its exact
+    value comes from the integer rows at q_c: M their Gram over a 56-run m = 6
+    design, G over all m! orders.  The design is fixed, and the exact value
+    lies far from a rounding boundary of the 12 printed digits."""
+    m, orders = 6, order_array(6)[3::13]
+    path = tmp_path / "d6.csv"
+    write_design(path, Design.from_orders(orders.tolist()))
+    assert main(["criteria", "--design", str(path), "--models", label, "--criterion", "av"]) == 0
+    printed = capsys.readouterr().out.splitlines()[1].split(",")[2]
+    spec = parse_model(label)
+    _, trace = _exact_det_and_inverse_trace(_integer_gram(spec, orders),
+                                            _integer_gram(spec, order_array(m)))
+    exact = trace / math.factorial(m)
+    unit = Fraction(10) ** (math.floor(math.log10(exact)) - 11)
+    assert abs(exact / unit % 1 - Fraction(1, 2)) * unit > 1e-13 * exact
+    assert printed == "%.12g" % float(exact)
 
 
 def test_sigma2_scales_linearly():

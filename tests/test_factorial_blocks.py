@@ -1,13 +1,14 @@
 """The streamed full factorial against the whole m! x p matrix it replaces.
 
-Moments, predictions and model averages walk the m! orders in blocks of
+Predictions and model averages walk the m! orders in blocks of
 ``models.BLOCK_ROWS`` rows; the search and these tests still build the whole
 matrix with ``full_factorial_matrix``.  The blocked results must match the
 whole-matrix ones bit for bit at the default block size and as one block,
-and up to rounding at any block size.  Once m! exceeds one block (m >= 7),
-the moments are summed over a symmetry-reduced set of orders instead
-(``models.moment_orders``) and must match the whole matrix up to rounding,
-or exactly where the rows are integers.
+and up to rounding at any block size.  The moments are summed over a
+symmetry-reduced set of orders instead (``models.moment_orders``), in
+blocks too; they must match the whole matrix up to rounding, and equal the
+correctly rounded exact value wherever the rows scale to integers (every
+family but tpwo with the geom taper).
 """
 
 import itertools
@@ -138,8 +139,48 @@ def _fresh_moments(spec, m):
     return criteria.factorial_moments.__wrapped__(spec, m)
 
 
+def _integer_scales(spec, m):
+    """Per column, the integer a that makes a times the model column an
+    integer column: T^degree for the surface columns (p_c = q_c / T,
+    T = m(m+1)/2), lcm(1..m-1) for the invh-tapered columns, else 1."""
+    t = m * (m + 1) // 2
+
+    def scale(label):
+        if label.startswith("a_"):  # p_c p_d (p_c - p_d)
+            return t ** 3
+        if label.startswith("p_"):
+            return t ** (label.count("p_") + label.count("^2"))
+        if label.startswith("x_") and spec.label == "tpwo:invh":
+            return math.lcm(*range(1, m))
+        return 1
+
+    return np.array([scale(label) for label in models.term_labels(spec, m)], dtype=np.int64)
+
+
+def _exact_moments(spec, m, xf):
+    """X_f^T X_f and X_f^T (I - J/w) X_f correctly rounded, from the int64
+    Gram G and column sums s of the integer-scaled whole matrix: entry (i, j)
+    is G_ij / (a_i a_j) and (w G_ij - s_i s_j) / (w a_i a_j)."""
+    a = _integer_scales(spec, m)
+    scaled = xf * a
+    ints = np.rint(scaled)
+    assert np.abs(scaled - ints).max() <= 1e-9, spec.label
+    # every partial sum of this Gram is an integer below 2**53, so it is exact in float
+    assert len(ints) * np.abs(ints).max() ** 2 < 2**53, spec.label
+    gram = (ints.T @ ints).astype(np.int64).tolist()
+    sums, w = ints.astype(np.int64).sum(axis=0).tolist(), len(ints)
+    a = a.tolist()
+    p = len(a)
+    plain = [[float(Fraction(gram[i][j], a[i] * a[j])) for j in range(p)] for i in range(p)]
+    centered = [[float(Fraction(w * gram[i][j] - sums[i] * sums[j], w * a[i] * a[j]))
+                 for j in range(p)] for i in range(p)]
+    return np.array(plain), np.array(centered)
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_factorial_moments_match_the_whole_matrix(m):
+    """Within 1e-13 of the whole-matrix Gram for every family, and every
+    entry the correctly rounded exact value for all but tpwo:geom."""
     for spec in _specs(m):
         xf = _whole(spec, m)
         plain, centered, w = _fresh_moments(spec, m)
@@ -147,9 +188,10 @@ def test_factorial_moments_match_the_whole_matrix(m):
         assert w == len(xf)
         assert _frobenius_rel(plain, xf.T @ xf) <= 1e-13, spec.label
         assert _frobenius_rel(centered, rows.T @ rows) <= 1e-13, spec.label
-        if w <= models.BLOCK_ROWS:  # one block: the same arithmetic as the whole matrix
-            assert np.array_equal(plain, xf.T @ xf), spec.label
-            assert np.array_equal(centered, rows.T @ rows), spec.label
+        if not spec.label.startswith("tpwo:geom"):
+            exact_plain, exact_centered = _exact_moments(spec, m, xf)
+            assert np.array_equal(plain, exact_plain), spec.label
+            assert np.array_equal(centered, exact_centered), spec.label
 
 
 @pytest.mark.parametrize("label", INTEGER_LABELS)
@@ -179,7 +221,11 @@ def test_factorial_moments_do_not_depend_on_the_block_size(m, monkeypatch):
 
 
 #: k of each family: a moment entry depends on the positions of at most k components.
-SYMMETRY_K = {"rs3": 6, "rs3s": 6}
+SYMMETRY_K = {"cp": 2, "rs3": 6, "rs3s": 6}
+
+
+def _symmetry_k(spec, m):
+    return min(m, SYMMETRY_K.get(spec.family.value, 4))
 
 
 def _count_rows(monkeypatch):
@@ -196,33 +242,22 @@ def _count_rows(monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_factorial_moments_build_a_symmetry_reduced_order_set(m, monkeypatch):
-    """m!/(m - k)! model rows at m = 7 and 8; all m! rows, and the arithmetic
-    of the whole matrix bit for bit, at m <= 6."""
+    """At most m!/(m - k)! model rows, k = min(m, k of the family)."""
     w = math.factorial(m)
     for spec in _specs(m):
         built = _count_rows(monkeypatch)
-        plain, centered, count = _fresh_moments(spec, m)
-        built = sum(built)
+        _, _, count = _fresh_moments(spec, m)
         assert count == w
-        if m <= 6:
-            xf = _whole(spec, m)
-            rows = xf - xf.mean(axis=0)
-            assert built == w, spec.label
-            assert np.array_equal(plain, xf.T @ xf), spec.label
-            assert np.array_equal(centered, rows.T @ rows), spec.label
-        else:
-            k = SYMMETRY_K.get(spec.family.value, 4)
-            assert built <= w // math.factorial(m - k), spec.label
+        assert sum(built) <= w // math.factorial(m - _symmetry_k(spec, m)), spec.label
 
 
-@pytest.mark.parametrize("m", range(6, 9))
+@pytest.mark.parametrize("m", range(2, 9))
 def test_moment_orders_place_the_first_k_components_every_way_once(m):
-    for label, k in (("pwo", 4), ("rs3", 6), ("cp", 2), ("tpwo:invh", 4)):
-        orders = models.moment_orders(parse_model(label), m)
-        if math.factorial(m) <= models.BLOCK_ROWS or m - k < 2:
-            assert orders.positions is None and orders.canonical is None and orders.repeats == 1
-            continue
+    for spec in _specs(m):
+        k, p = _symmetry_k(spec, m), spec.param_count(m)
+        orders = models.moment_orders(spec, m)
         positions = orders.positions
+        assert orders.canonical.shape == orders.divisor.shape == (p, p)
         assert orders.repeats == math.factorial(m - k)
         assert len(positions) == math.factorial(m) // orders.repeats
         assert np.array_equal(np.sort(positions, axis=1), np.tile(np.arange(1, m + 1), (len(positions), 1)))
@@ -232,16 +267,17 @@ def test_moment_orders_place_the_first_k_components_every_way_once(m):
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_moment_rows_are_integers_where_a_divisor_is_given(label):
-    """Rows at q_c give the Gram of the model rows over the divisor."""
+    """Rows at q_c give the Gram of the model rows over the divisor.  They
+    are integers for every family but tpwo:geom, whose divisor is all ones."""
     spec, m = parse_model(label), 7
     orders = models.moment_orders(spec, m)
-    assert (orders.divisor is None) == (label in ("tpwo:invh", "tpwo:geom=0.5"))
-    if orders.divisor is not None:
-        q = models._positions(order_array(m))
-        rows = models._model_rows(spec, q, standardized=False)
-        assert np.array_equal(rows, np.rint(rows))
-        xf = _whole(spec, m)
-        assert _frobenius_rel((rows.T @ rows) / orders.divisor, xf.T @ xf) <= 1e-14
+    q = models._positions(order_array(m))
+    rows = models._model_rows(spec, q, standardized=False)
+    assert np.array_equal(rows, np.rint(rows)) == (label != "tpwo:geom=0.5")
+    if label == "tpwo:geom=0.5":
+        assert np.all(orders.divisor == 1)
+    xf = _whole(spec, m)
+    assert _frobenius_rel((rows.T @ rows) / orders.divisor, xf.T @ xf) <= 1e-14
 
 
 def test_canonical_pairs_refuse_a_too_small_k():
