@@ -65,17 +65,6 @@ def _order_labels(orders: np.ndarray, labels) -> list[LabelColumn]:
     return [LabelColumn(labels, components - 1) for components in orders.T]
 
 
-def _resolve_model(args: argparse.Namespace) -> ModelSpec:
-    label = args.model
-    if getattr(args, "taper", None):
-        if ":" in label:
-            raise ValidationError(
-                "give the taper either as --taper or as a model suffix, not both"
-            )
-        label = f"{label}:{args.taper}"
-    return parse_model(label)
-
-
 def _model_list(text: str) -> list[ModelSpec]:
     labels = [part for part in text.split(",") if part.strip()]
     if not labels:
@@ -134,8 +123,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> None:
-    _emit_config(args, ["model", "taper", "design", "format"])
-    spec = _resolve_model(args)
+    _emit_config(args, ["model", "design", "format"])
+    spec = parse_model(args.model)
     loaded = read_design(args.design)
     design = loaded.design if isinstance(loaded, Dataset) else loaded
     built = build_matrix(spec, design.runs)
@@ -143,8 +132,8 @@ def _cmd_matrix(args: argparse.Namespace) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
-    _emit_config(args, ["model", "taper", "data", "block", "out"])
-    spec = _resolve_model(args)
+    _emit_config(args, ["model", "data", "block", "out"])
+    spec = parse_model(args.model)
     data = _apply_block(_load_dataset(args.data), args.block)
     fit = ols_fit(spec, data)
     text = to_json(fit_to_dict(fit))
@@ -361,14 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("matrix", help="model matrix for a design file")
     p.add_argument("--model", required=True)
-    p.add_argument("--taper", default=None, help="taper for tpwo: invh, geom=<r>, linear")
     p.add_argument("--design", required=True, help="design CSV (pos_1..pos_m)")
     add_format(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("fit", help="least-squares fit of one model")
     p.add_argument("--model", required=True)
-    p.add_argument("--taper", default=None)
     p.add_argument("--data", required=True, help="design CSV with a y column")
     p.add_argument("--block", action="store_true", help="include the block column")
     p.add_argument("--out", default=None, help="also write the fit JSON here")

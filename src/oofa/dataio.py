@@ -352,7 +352,8 @@ def fit_to_dict(fit: FitResult) -> dict:
         "aic": _json_number(fit.aic) if fit.aic is not None else None,
         "bic": _json_number(fit.bic) if fit.bic is not None else None,
         "n": int(fit.n),
-        # extras beyond the advertised schema, consumed by `predict`
+        # extras beyond the advertised schema, for information only: `predict`
+        # refits the model to `data` and reads none of them
         "m": int(fit.m),
         "p_effective": int(fit.p_effective),
         "n_block_cols": int(fit.n_block_cols),

@@ -45,17 +45,20 @@ Column labels are stable and file-safe: ``b0``, ``x_1_2``, ``tau_2_1``,
 ``p_1*p_2*p_3``, ``w_1_2``.  Canonical order: intercept first (when the
 family has one), then terms by ascending index tuples, linear before
 quadratic before asymmetric-cubic before cubic.
+
+Each family's columns are written down once, as (kind, indices) groups in
+:func:`_column_groups`; the labels, the model rows, the parameter count and
+the moment bookkeeping of :func:`moment_orders` are all read from it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,7 +104,7 @@ class Taper:
     @property
     def label(self) -> str:
         if self.kind is TaperKind.GEOMETRIC:
-            return f"geom={self.ratio:.12g}"
+            return f"geom={float(self.ratio)!r}"
         return self.kind.value
 
 
@@ -132,21 +135,7 @@ class ModelSpec:
         return self.family.value
 
     def param_count(self, m: int) -> int:
-        f = self.family
-        if f in (Family.PWO, Family.TPWO):
-            return 1 + m * (m - 1) // 2
-        if f is Family.CP:
-            return 1 + (m - 1) ** 2
-        if f is Family.RS2:
-            return (m - 1) * (m + 2) // 2
-        if f is Family.NN:
-            return m * (m - 1)
-        pairs = m * (m - 1) // 2 - 1
-        triples = m * (m - 1) * (m - 2) // 6 - 1
-        count = m + pairs + triples
-        if f is Family.RS3:
-            count += (m - 1) * (m - 2) // 2
-        return count
+        return sum(idx.shape[1] for _, idx in _column_groups(self, m))
 
 
 @dataclass(frozen=True)
@@ -229,73 +218,110 @@ def _positions(orders: np.ndarray) -> np.ndarray:
     return q
 
 
-def _pairs(c_max: int, d_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (c, d) of the pairs c < d with c < c_max and d < d_max, in
-    lexicographic order."""
-    c, d = np.triu_indices(d_max, 1)
-    keep = c < c_max
-    return c[keep], d[keep]
+def _combinations(*bounds: int) -> np.ndarray:
+    """(r, k) 0-based indices c < d < ... with c < bounds[0], d < bounds[1],
+    ..., r = len(bounds), in lexicographic order."""
+    rows = [t for t in itertools.combinations(range(bounds[-1]), len(bounds))
+            if all(i < b for i, b in zip(t, bounds))]
+    return np.array(rows, dtype=np.intp).reshape(-1, len(bounds)).T.copy()
 
 
-def _triples(m: int) -> np.ndarray:
-    """0-based (c, d, e) rows of the RS3 triple products: c < d < e with
-    c < m - 3 and d < m - 1, in lexicographic order."""
-    rows = [t for t in itertools.combinations(range(m), 3) if t[0] < m - 3 and t[1] < m - 1]
-    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+class _Kind(NamedTuple):
+    """A kind of column group: the label format of a column's 1-based
+    indices, how many leading indices are components (the rest are
+    positions), and the degree in the positions (a surface column built at
+    q_c rather than p_c is T^degree times the model column, T = m(m+1)/2)."""
+
+    label: str
+    components: int
+    degree: int
 
 
-def _check_supported(spec: ModelSpec, m: int) -> None:
+#: Every kind of column group.
+_KINDS = {
+    "b0": _Kind("b0", 0, 0),
+    "x": _Kind("x_{}_{}", 2, 0),
+    "tau": _Kind("tau_{}_{}", 1, 0),
+    "w": _Kind("w_{}_{}", 2, 0),
+    "p": _Kind("p_{}", 1, 1),
+    "p^2": _Kind("p_{}^2", 1, 2),
+    "pp": _Kind("p_{}*p_{}", 2, 2),
+    "a": _Kind("a_{}_{}", 2, 3),
+    "ppp": _Kind("p_{}*p_{}*p_{}", 3, 3),
+}
+
+
+@lru_cache(maxsize=None)
+def _column_groups(spec: ModelSpec, m: int) -> tuple[tuple[str, np.ndarray], ...]:
+    """The columns of the family at m as (kind, indices) groups, in column
+    order: column i of the read-only (w, k) ``indices`` holds the 0-based
+    indices of the group's i-th column, c (and d, e) or, for ``tau``, c and
+    j - 1.  The one list of every family's columns: labels, rows, counts and
+    moment bookkeeping all read it."""
     if m < 2:
         raise ValidationError(f"model matrices need m >= 2, got m = {m}")
-    if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
+    f = spec.family
+    if f in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
         raise UnsupportedModelError(
             f"{spec.label} is undefined for m = {m}: no third-order terms exist"
         )
+    groups = [("b0", np.empty((0, 1), dtype=np.intp))] if spec.include_intercept else []
+    if f in (Family.PWO, Family.TPWO):
+        groups.append(("x", _combinations(m - 1, m)))
+    elif f is Family.CP:
+        groups.append(("tau", np.indices((m - 1, m - 1)).reshape(2, -1)))
+    elif f is Family.NN:
+        groups.append(("w", np.stack(np.nonzero(~np.eye(m, dtype=bool)))))
+    elif f is Family.RS2:
+        first = np.arange(m - 1)[None]
+        groups += [("p", first), ("p^2", first), ("pp", _combinations(m - 2, m - 1))]
+    else:
+        groups += [("p", np.arange(m)[None]), ("pp", _combinations(m - 2, m))]
+        if f is Family.RS3:
+            groups.append(("a", _combinations(m - 2, m - 1)))
+        groups.append(("ppp", _combinations(m - 3, m - 1, m)))
+    for _, idx in groups:
+        idx.setflags(write=False)
+    return tuple(groups)
 
 
 @lru_cache(maxsize=None)
 def term_labels(spec: ModelSpec, m: int) -> tuple[str, ...]:
     """Column labels of the family at m, in column order."""
-    _check_supported(spec, m)
-    f = spec.family
-    labels = ["b0"] if spec.include_intercept else []
-    if f in (Family.PWO, Family.TPWO):
-        labels += [f"x_{c + 1}_{d + 1}" for c, d in zip(*_pairs(m - 1, m))]
-    elif f is Family.CP:
-        labels += [f"tau_{c}_{j}" for c in range(1, m) for j in range(1, m)]
-    elif f is Family.NN:
-        labels += [f"w_{c + 1}_{d + 1}" for c, d in zip(*np.nonzero(~np.eye(m, dtype=bool)))]
-    elif f is Family.RS2:
-        labels += [f"p_{c}" for c in range(1, m)] + [f"p_{c}^2" for c in range(1, m)]
-        labels += [f"p_{c + 1}*p_{d + 1}" for c, d in zip(*_pairs(m - 2, m - 1))]
-    else:
-        labels += [f"p_{c}" for c in range(1, m + 1)]
-        labels += [f"p_{c + 1}*p_{d + 1}" for c, d in zip(*_pairs(m - 2, m))]
-        if f is Family.RS3:
-            labels += [f"a_{c + 1}_{d + 1}" for c, d in zip(*_pairs(m - 2, m - 1))]
-        labels += ["p_{}*p_{}*p_{}".format(*(t + 1)) for t in _triples(m)]
-    return tuple(labels)
+    return tuple(_KINDS[kind].label.format(*(col + 1))
+                 for kind, idx in _column_groups(spec, m) for col in idx.T)
 
 
-def _surface_groups(family: Family, p: np.ndarray) -> list[np.ndarray]:
-    """RS2, RS3 or RS3_SPECIAL columns at the standardized positions whose
-    row c-1 holds p_c (an (m, n) array), as (k, n) groups in column order."""
-    m = len(p)
-    if family is Family.RS2:
-        c, d = _pairs(m - 2, m - 1)
-        return [p[:m - 1], p[:m - 1] ** 2, p[c] * p[d]]
-    c, d = _pairs(m - 2, m)
-    groups = [p, p[c] * p[d]]
-    if family is Family.RS3:
-        c, d = _pairs(m - 2, m - 1)
-        groups.append(p[c] * p[d] * (p[c] - p[d]))
-    t = _triples(m)
-    groups.append(p[t[:, 0]] * p[t[:, 1]] * p[t[:, 2]])
-    return groups
-
-
-#: The degree in the positions of each group of :func:`_surface_groups`.
-_SURFACE_DEGREES = {Family.RS2: (1, 2, 2), Family.RS3: (1, 2, 3, 3), Family.RS3_SPECIAL: (1, 2, 3)}
+def _group_values(kind: str, idx: np.ndarray, v: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+    """(k, n) values of one column group at ``v``, whose row c-1 holds q_c
+    per run, or p_c for the surface kinds of standardized rows; ``z`` is the
+    taper table of tapered ``x`` columns."""
+    if kind == "b0":
+        return np.ones((1, v.shape[1]))
+    if kind == "x":
+        c, d = idx
+        diff = v[d] - v[c]
+        sign = np.where(diff > 0, 1.0, -1.0)
+        return sign if z is None else sign * z[np.abs(diff).astype(np.intp) - 1]
+    if kind == "tau":
+        # The (c, j) grid as one broadcast: a gather of q_c per column is
+        # twice as slow.
+        m = len(v)
+        return (v[:m - 1, None] == np.arange(1, m)[:, None]).reshape(-1, v.shape[1])
+    if kind == "w":
+        c, d = idx
+        return v[d] - v[c] == 1
+    if kind in ("p", "p^2"):
+        # components 1..k, as a view: a gathered copy makes rs2 rows about 15 % slower
+        p = v[:idx.shape[1]]
+        return p if kind == "p" else p ** 2
+    if kind == "a":
+        c, d = idx  # gathered twice: holding v[c] and v[d] makes rs3 rows slower
+        return v[c] * v[d] * (v[c] - v[d])
+    rows = v[idx[0]]  # pp and ppp: products of positions
+    for i in idx[1:]:
+        rows = rows * v[i]
+    return rows
 
 
 def _model_rows(spec: ModelSpec, q: np.ndarray, standardized: bool = True) -> np.ndarray:
@@ -306,43 +332,31 @@ def _model_rows(spec: ModelSpec, q: np.ndarray, standardized: bool = True) -> np
     that every family but tpwo with the geom taper has integer entries (see
     :func:`moment_orders`).
     """
-    n, m = q.shape
-    _check_supported(spec, m)
-    f = spec.family
+    m = q.shape[1]
     q = np.ascontiguousarray(q.T)  # row c-1 holds q_c: the gathers below copy whole rows
-    groups = [np.ones((1, n))] if spec.include_intercept else []
-    if f in (Family.PWO, Family.TPWO):
-        c, d = _pairs(m - 1, m)
-        diff = q[d] - q[c]
-        sign = np.where(diff > 0, 1.0, -1.0)
-        if f is Family.TPWO:
-            z = _taper_table(spec.taper, m)
-            if not standardized and spec.taper.kind is TaperKind.INV_H:
-                z = lcm(*range(1, m)) // np.arange(1, m)
-            sign *= z[np.abs(diff).astype(np.intp) - 1]
-        groups.append(sign)
-    elif f is Family.CP:
-        groups.append((q[:m - 1, None] == np.arange(1, m)[:, None]).reshape(-1, n))
-    elif f is Family.NN:
-        c, d = np.nonzero(~np.eye(m, dtype=bool))
-        groups.append(q[d] - q[c] == 1)
-    else:
-        groups += _surface_groups(f, q * (2.0 / (m * (m + 1))) if standardized else q)
-    return _rows_from_groups(groups)
+    z = None
+    if spec.family is Family.TPWO:
+        z = _taper_table(spec.taper, m)
+        if not standardized and spec.taper.kind is TaperKind.INV_H:
+            z = lcm(*range(1, m)) // np.arange(1, m)
+    elif standardized and spec.family in (Family.RS2, Family.RS3, Family.RS3_SPECIAL):
+        q = q * (2.0 / (m * (m + 1)))
+    return _rows_from_groups(spec, q, z)
 
 
 def rs2_rows(p: np.ndarray) -> np.ndarray:
     """RS2 model rows at standardized positions ``p`` (n, m) that need not
     come from an order, such as the points of a response-surface grid."""
-    return _rows_from_groups(_surface_groups(Family.RS2, np.ascontiguousarray(p.T)))
+    return _rows_from_groups(ModelSpec(Family.RS2), np.ascontiguousarray(p.T))
 
 
-def _rows_from_groups(groups: list[np.ndarray]) -> np.ndarray:
-    """The (k, n) column groups, transposed and side by side, in one new
-    C-contiguous (n, p) float array.  The layout matters: a row-wise product
-    with another layout can take a different BLAS kernel and change the last
-    bits of predictions."""
-    out = np.empty((groups[0].shape[1], sum(len(g) for g in groups)))
+def _rows_from_groups(spec: ModelSpec, v: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    """The column groups of ``spec`` at ``v`` (see :func:`_group_values`),
+    transposed and side by side, in one new C-contiguous (n, p) float array.
+    The layout matters: a row-wise product with another layout can take a
+    different BLAS kernel and change the last bits of predictions."""
+    groups = [_group_values(kind, idx, v, z) for kind, idx in _column_groups(spec, len(v))]
+    out = np.empty((v.shape[1], sum(len(g) for g in groups)))
     np.concatenate(groups, axis=0, out=out.T)
     return out
 
@@ -432,7 +446,7 @@ def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:
     sums are exact, and ``divisor`` turns them into the moments of the model
     rows with one rounding per entry.
     """
-    k = min(m, 2 * _TERM_COMPONENTS.get(spec.family, 2))
+    k = min(m, 2 * max(_KINDS[kind].components for kind, _ in _column_groups(spec, m)))
     # Row i of order_array read as positions rather than components: the rows
     # (m-k)! apart are the first completion of each prefix, whose last m - k
     # entries ascend, so components k+1..m take ascending positions.
@@ -443,38 +457,24 @@ def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:
 
 def _position_divisor(spec: ModelSpec, m: int) -> np.ndarray:
     """(p, p) integers a_i a_j of :class:`MomentOrders`."""
-    if spec.family in _SURFACE_DEGREES:
-        sizes = [len(group) for group in _surface_groups(spec.family, np.ones((m, 1)))]
-        scale = np.repeat((m * (m + 1) // 2) ** np.array(_SURFACE_DEGREES[spec.family]), sizes)
-    else:
-        scale = np.ones(spec.param_count(m), dtype=np.int64)
-        if spec.family is Family.TPWO and spec.taper.kind is TaperKind.INV_H:
-            scale[1:] = lcm(*range(1, m))
+    invh = spec.family is Family.TPWO and spec.taper.kind is TaperKind.INV_H
+    scale = np.concatenate([
+        np.full(idx.shape[1], lcm(*range(1, m)) if invh and kind == "x"
+                else (m * (m + 1) // 2) ** _KINDS[kind].degree, dtype=np.int64)
+        for kind, idx in _column_groups(spec, m)])
     return np.outer(scale, scale).astype(float)
 
 
-#: The most components one column of a family depends on, where not 2.
-_TERM_COMPONENTS = {Family.CP: 1, Family.RS3: 3, Family.RS3_SPECIAL: 3}
-
-#: A component index in a column label: the digits after an underscore.
-_COMPONENT = re.compile(r"(?<=_)\d+")
-
-
 def _term_parts(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(templates, components) of the columns, parsed from :func:`term_labels`.
+    """(templates, components) of the columns of :func:`_column_groups`.
 
-    ``templates[i]`` numbers the label of column i with its components taken
-    out (``x_3_5`` and ``x_1_2`` share one, ``tau_3_1`` and ``tau_3_2`` do
-    not: j is a position); row i of ``components`` holds its components,
-    padded with 0.
+    ``templates[i]`` numbers the kind of column i and its indices that are
+    not components (``x_3_5`` and ``x_1_2`` share one, ``tau_3_1`` and
+    ``tau_3_2`` do not: j is a position); row i of ``components`` holds its
+    1-based components, padded with 0.
     """
-    parts = []
-    for label in term_labels(spec, m):
-        if label.startswith("tau_"):
-            c, j = label[4:].split("_")
-            parts.append((f"tau__{j}", (int(c),)))
-        else:
-            parts.append((_COMPONENT.sub("", label), tuple(map(int, _COMPONENT.findall(label)))))
+    parts = [((kind, *col[_KINDS[kind].components:]), col[:_KINDS[kind].components] + 1)
+             for kind, idx in _column_groups(spec, m) for col in idx.T]
     names = {name: t for t, name in enumerate(dict.fromkeys(name for name, _ in parts))}
     components = np.zeros((len(parts), max(len(comps) for _, comps in parts)), dtype=np.intp)
     for i, (_, comps) in enumerate(parts):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oofa
-from oofa import Design, enumerate_permutations, read_design, write_design
+from oofa import Design, enumerate_permutations, parse_model, read_design, write_design
 from oofa.cli import MAX_GRID, main
 from oofa.dataio import fit_from_dict, fit_to_dict, to_json
 from oofa.search import MAX_RUNS
@@ -97,15 +97,6 @@ def test_matrix_emits_signed_columns(capsys, m3_csv):
     assert {cell for row in rows[1:] for cell in row} == {"1", "-1"}
 
 
-def test_matrix_taper_given_twice_is_an_error(capsys, m3_csv):
-    rc, _, err = run_cli(
-        capsys, "matrix", "--model", "tpwo:invh", "--taper", "invh",
-        "--design", m3_csv,
-    )
-    assert rc == 2
-    assert "not both" in err
-
-
 # -- fit ---------------------------------------------------------------------
 
 
@@ -129,6 +120,24 @@ def test_fit_out_writes_same_json(capsys, m3_csv, tmp_path):
     )
     assert rc == 0
     assert json.loads(out_path.read_text()) == json.loads(out)
+
+
+def test_geom_ratio_keeps_every_digit(capsys, m3_csv, full_factorial_m4, tmp_path):
+    label = "tpwo:geom=0.1234567890123456"
+    path = tmp_path / "geom_fit.json"
+    rc, _, _ = run_cli(capsys, "fit", "--model", label, "--data", m3_csv, "--out", str(path))
+    assert rc == 0
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert payload["taper"] == "geom=0.1234567890123456"
+    assert fit_from_dict(payload).spec == parse_model(label)
+    rc, _, _ = run_cli(capsys, "predict", "--fit", str(path), "--top", "1")
+    assert rc == 0
+    rc, out, err = run_cli(
+        capsys, "criteria", "--design", full_factorial_m4, "--criterion", "d",
+        "--models", "tpwo:geom=0.1234567890123,tpwo:geom=0.1234567890124",
+    )
+    assert rc == 0, err
+    assert len(csv_rows(out)) == 3
 
 
 def test_fit_block_flag_needs_block_column(capsys, m3_csv):

@@ -1,5 +1,7 @@
 """Model matrices for all six families, checked against the independent oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from oofa import (
     parse_model,
     term_labels,
 )
+from oofa import models
 from oofa.models import pwo_to_ltpwo_maps, taper_value
 
 ALL_LABELS = ["pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear",
@@ -73,6 +76,68 @@ def test_parameter_counts(label, counts):
     for m, expected in zip((3, 4, 5, 6), counts):
         assert spec.param_count(m) == expected
         assert len(term_labels(spec, m)) == expected
+
+
+def _closed_form_count(family, m):
+    """Column count of the family at m, from the index bounds in the module
+    docstring."""
+    if family in (Family.PWO, Family.TPWO):
+        return 1 + m * (m - 1) // 2
+    if family is Family.CP:
+        return 1 + (m - 1) ** 2
+    if family is Family.RS2:
+        return (m - 1) * (m + 2) // 2
+    if family is Family.NN:
+        return m * (m - 1)
+    count = m + (m * (m - 1) // 2 - 1) + (m * (m - 1) * (m - 2) // 6 - 1)
+    return count + (m - 1) * (m - 2) // 2 if family is Family.RS3 else count
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_parameter_counts_match_the_closed_forms(m):
+    for label in ALL_LABELS:
+        spec = parse_model(label)
+        if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
+            with pytest.raises(UnsupportedModelError):
+                spec.param_count(m)
+            continue
+        assert spec.param_count(m) == _closed_form_count(spec.family, m), label
+        assert len(term_labels(spec, m)) == spec.param_count(m), label
+
+
+#: A component index in a column label: the digits after an underscore.
+_COMPONENT = re.compile(r"(?<=_)\d+")
+
+
+def _parsed_term_parts(labels):
+    """(templates, components) parsed from the column labels: the label
+    parser the column table replaced, as reference."""
+    parts = []
+    for label in labels:
+        if label.startswith("tau_"):
+            c, j = label[4:].split("_")
+            parts.append((f"tau__{j}", (int(c),)))
+        else:
+            parts.append((_COMPONENT.sub("", label), tuple(map(int, _COMPONENT.findall(label)))))
+    names = {name: t for t, name in enumerate(dict.fromkeys(name for name, _ in parts))}
+    components = np.zeros((len(parts), max(len(comps) for _, comps in parts)), dtype=np.intp)
+    for i, (_, comps) in enumerate(parts):
+        components[i, :len(comps)] = comps
+    return np.array([names[name] for name, _ in parts], dtype=np.intp), components
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_term_parts_equal_the_parsed_labels(m):
+    for label in ALL_LABELS:
+        spec = parse_model(label)
+        if spec.family in (Family.RS3, Family.RS3_SPECIAL) and m < 3:
+            continue
+        templates, components = models._term_parts(spec, m)
+        ref_templates, ref_components = _parsed_term_parts(term_labels(spec, m))
+        assert np.array_equal(components, ref_components), label
+        # the same classes: each template meets exactly one reference template
+        classes = set(zip(templates.tolist(), ref_templates.tolist()))
+        assert len(classes) == len(set(templates.tolist())) == len(set(ref_templates.tolist()))
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
