@@ -27,6 +27,13 @@ from .fitting import FitResult, akaike_weights, check_weights, information_crite
 from .perms import Permutation, as_permutations, order_array
 from .ranking import predict_factorial, rank_descending
 
+#: Orders whose variances :func:`combine_predictions` forms at a time.  Each
+#: block's vector-matrix product must round every order as one product over
+#: all orders does.  With OpenBLAS, whose kernel fuses multiplies and adds,
+#: blocks of a multiple of 8 orders do; narrower odd blocks, or a sum taken
+#: one model at a time, can move the last bit.
+COMBINE_ORDERS = 4096
+
 
 def combine_predictions(
     estimates: np.ndarray, conditional_variances: np.ndarray, weights: np.ndarray
@@ -34,7 +41,8 @@ def combine_predictions(
     """Weight K per-model prediction vectors into one estimate and variance.
 
     ``estimates`` and ``conditional_variances`` are (K, w); ``weights`` is
-    (K,) and must sum to one.
+    (K,) and must sum to one.  The variances are formed
+    :data:`COMBINE_ORDERS` orders at a time, so no (K, w) temporary is built.
     """
     est = np.asarray(estimates, dtype=float)
     cvar = np.asarray(conditional_variances, dtype=float)
@@ -45,8 +53,11 @@ def combine_predictions(
     if np.any(cvar < 0):
         raise ValidationError("conditional variances must be non-negative")
     avg = w @ est
-    spread = est - avg
-    var = (w @ np.sqrt(cvar + spread**2)) ** 2
+    var = np.empty_like(avg)
+    for start in range(0, len(avg), COMBINE_ORDERS):
+        cols = slice(start, start + COMBINE_ORDERS)
+        spread = est[:, cols] - avg[cols]
+        var[cols] = (w @ np.sqrt(cvar[:, cols] + spread**2)) ** 2
     return avg, var
 
 
@@ -120,16 +131,13 @@ class AveragedPrediction:
 
 def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
     """Average the candidate models' predictions over all m! orders."""
-    m = candidates.fits[0].m
-    per_model_est, per_model_var = [], []
-    for fit in candidates.fits:
-        est, var = predict_factorial(fit)
-        per_model_est.append(est)
-        per_model_var.append(var)
-    model_est = np.array(per_model_est)
-    avg, var = combine_predictions(model_est, np.array(per_model_var), np.array(candidates.weights))
-    model_ranks = np.array([rank_descending(est) for est in model_est])
+    model_est, model_var = predict_factorial(candidates.fits)
+    avg, var = combine_predictions(model_est, model_var, np.array(candidates.weights))
+    model_ranks = np.empty(model_est.shape, dtype=int)
+    for ranks, est in zip(model_ranks, model_est):
+        ranks[:] = rank_descending(est)
     return AveragedPrediction(
-        order_array(m), avg, var, np.sqrt(var), rank_descending(avg), model_est, model_ranks
+        order_array(candidates.fits[0].m), avg, var, np.sqrt(var), rank_descending(avg),
+        model_est, model_ranks,
     )
 

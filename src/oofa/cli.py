@@ -27,6 +27,7 @@ from .criteria import (
 )
 from .dataio import (
     LabelColumn,
+    OrderColumn,
     fit_from_dict,
     fit_to_dict,
     read_design,
@@ -63,6 +64,11 @@ def _emit_table(args: argparse.Namespace, header, columns) -> None:
 def _order_labels(orders: np.ndarray, labels) -> list[LabelColumn]:
     """One table column per position: the component label there in each order."""
     return [LabelColumn(labels, components - 1) for components in orders.T]
+
+
+def _check_top(top: int | None, count: int) -> None:
+    if top is not None and not 1 <= top <= count:
+        raise ValidationError(f"--top must be in 1..{count}, got {top}")
 
 
 def _model_list(text: str) -> list[ModelSpec]:
@@ -192,9 +198,8 @@ def _cmd_average(args: argparse.Namespace) -> None:
     header += ["ma_estimate", "ma_rank", "ma_se"]
 
     rows = slice(None)
+    _check_top(args.top, len(averaged))
     if args.top is not None:
-        if not 1 <= args.top <= len(averaged):
-            raise ValidationError(f"--top must be in 1..{len(averaged)}, got {args.top}")
         rows = np.argsort(averaged.ranks)[: args.top]
     columns = _order_labels(averaged.orders[rows], labels)
     for _, est, ranks in per_model:
@@ -216,12 +221,12 @@ def _cmd_predict(args: argparse.Namespace) -> None:
         table = PredictionTable(
             table.orders, table.estimates, table.std_errors, rank_descending(-table.estimates)
         )
+    _check_top(args.top, len(table))
     if args.top is not None:
         table = top_k(table, args.top)
-    names = np.array(fit.data.design.component_labels, dtype=object)[table.orders - 1]
-    order_column = [" ".join(row) for row in names.tolist()]
     _emit_table(args, ["order", "estimate", "std_error", "rank"],
-                [order_column, table.estimates, table.std_errors, table.ranks])
+                [OrderColumn(fit.data.design.component_labels, table.orders),
+                 table.estimates, table.std_errors, table.ranks])
 
 
 def _cmd_criteria(args: argparse.Namespace) -> None:

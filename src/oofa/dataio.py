@@ -31,7 +31,7 @@ from .fitting import Dataset, FitResult, ols_fit
 from .models import ModelSpec, parse_model
 
 #: Rows formatted and written at a time by :func:`write_table`.
-BLOCK_ROWS = 4096
+BLOCK_ROWS = 1024
 #: Largest difference :func:`fit_from_dict` allows between a stored
 #: coefficient and its refit, relative to the largest refit coefficient.
 COEF_RTOL = 1e-9
@@ -171,19 +171,44 @@ def write_design(target, obj: Design | Dataset, run_index: bool = False) -> None
 class LabelColumn:
     """A table column whose cells are ``labels[codes]``, such as the component
     labels at one position of every order: :func:`write_table` tells their
-    type from the few labels rather than from each cell."""
+    type from the few labels rather than from each cell, and makes the cells
+    of one block of rows at a time."""
 
     labels: Sequence
     codes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.asarray(self.labels, dtype=object)[self.codes[rows]]
+
+
+@dataclass(frozen=True, eq=False)
+class OrderColumn:
+    """A table column of orders: row i of the (n, m) ``orders``, components
+    1..m, written as the labels of its components joined by a space, such as
+    ``"B C A"``.  :func:`write_table` makes the cells of one block of rows at
+    a time."""
+
+    labels: Sequence[str]
+    orders: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        names = np.asarray(self.labels, dtype=object)[self.orders[rows] - 1]
+        return list(map(" ".join, names.tolist()))
 
 
 def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: str = "csv") -> None:
     """Write a table given column by column, as CSV or as JSON text.
 
-    Each column is a :class:`LabelColumn`, or a 1-D array or sequence whose
-    cells share one type: strings are written as they are, booleans as
-    ``true``/``false``, integers in decimal and floats as
-    :func:`format_float` does in CSV.
+    Each column is a :class:`LabelColumn`, an :class:`OrderColumn` (cells
+    are strings), or a 1-D array or sequence whose cells share one type:
+    strings are written as they are, booleans as ``true``/``false``,
+    integers in decimal and floats as :func:`format_float` does in CSV.
     ``fmt="json"`` writes exactly ``json.dumps(records, indent=2)`` of the
     list of row objects (keys in header order, NaN as ``null``) and a
     newline.  Rows are formatted and written BLOCK_ROWS at a time, so the
@@ -212,15 +237,16 @@ def _write_csv(stream: IO[str], header: list[str], typed: list, n: int) -> None:
     writer.writerow(header)
     # Cells reach the template as arguments, never as part of it, so a % in a cell is safe.
     # Ints go in through %s, which is str for int subclasses (bool, IntEnum) too.
-    template = ",".join("%.12g" if kind == "f" else "%s" for kind, _ in typed)
+    template = ",".join("%.12g" if kind == "f" else "%s" for kind, _ in typed) + "\n"
     for start in range(0, n, BLOCK_ROWS):
+        block = _block(typed, start)
         if len(typed) > 1 and not any(
-            kind == "s" and _needs_quoting(values[start:start + BLOCK_ROWS]) for kind, values in typed
+            kind == "s" and _needs_quoting(cells) for (kind, _), cells in zip(typed, block)
         ):
-            rows = zip(*_format_block(typed, start, _TEMPLATE_CELLS))
-            stream.write("\n".join([template % row for row in rows]) + "\n")
+            rows = zip(*_format_block(typed, block, _TEMPLATE_CELLS))
+            stream.write("".join([template % row for row in rows]))
         else:  # csv.writer quotes these cells, and writes an empty lone field as ""
-            writer.writerows(zip(*_format_block(typed, start, _CSV_CELLS)))
+            writer.writerows(zip(*_format_block(typed, block, _CSV_CELLS)))
 
 
 def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None:
@@ -235,7 +261,8 @@ def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None
     for start in range(0, n, BLOCK_ROWS):
         if start:
             stream.write(",\n")
-        stream.write(",\n".join([record % row for row in zip(*_format_block(typed, start, _JSON_CELLS))]))
+        rows = zip(*_format_block(typed, _block(typed, start), _JSON_CELLS))
+        stream.write(",\n".join([record % row for row in rows]))
     stream.write("\n]\n")
 
 
@@ -243,7 +270,9 @@ def _typed_column(column) -> tuple[str, object]:
     """(kind, values): kind 'f', 'i', 'b' or 's' says how the cells are written."""
     if isinstance(column, LabelColumn):
         kind, labels = _typed_column(list(column.labels))
-        return kind, np.array(labels, dtype=object)[column.codes]
+        return kind, LabelColumn(labels, column.codes)
+    if isinstance(column, OrderColumn):
+        return "s", column
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         kind = "i" if column.dtype.kind == "u" else column.dtype.kind
         return kind, column
@@ -257,13 +286,19 @@ def _typed_column(column) -> tuple[str, object]:
     return "f", np.asarray(column, dtype=float)
 
 
-def _format_block(typed: list, start: int, cells: dict) -> list[list[str]]:
-    """Rows start..start+BLOCK_ROWS of every column, formatted, column by column."""
+def _block(typed: list, start: int) -> list[list]:
+    """Rows start..start+BLOCK_ROWS of every column, as lists, column by column.
+    Label and order columns make their cells here, one block at a time."""
     out = []
-    for kind, values in typed:
+    for _, values in typed:
         block = values[start:start + BLOCK_ROWS]
-        out.append(cells[kind](block.tolist() if isinstance(block, np.ndarray) else block))
+        out.append(block.tolist() if isinstance(block, np.ndarray) else block)
     return out
+
+
+def _format_block(typed: list, block: list[list], cells: dict) -> list[list[str]]:
+    """The cells of a :func:`_block`, formatted, column by column."""
+    return [cells[kind](values) for (kind, _), values in zip(typed, block)]
 
 
 def _json_floats(values: list) -> list[str]:
@@ -379,6 +414,8 @@ def fit_from_dict(payload: dict) -> FitResult:
     an edited file is refused rather than used.  A refit that fails ends as
     ``oofa fit`` does on the same data.
     """
+    if not isinstance(payload, dict):
+        raise ParseError("fit JSON must be an object")
     try:
         label = payload["model"]
         if payload.get("taper"):

@@ -211,7 +211,7 @@ def _taper_table(taper: Taper, m: int) -> np.ndarray:
 
 def _positions(orders: np.ndarray) -> np.ndarray:
     """(n, m) float array of positions from (n, m) component orders: column
-    c-1 holds q_c per run."""
+    c-1 holds q_c per run.  The orders may be ``int8``: they only index."""
     n, m = orders.shape
     q = np.empty((n, m))
     q[np.arange(n)[:, None], orders - 1] = np.arange(1, m + 1)
@@ -324,7 +324,7 @@ def _group_values(kind: str, idx: np.ndarray, v: np.ndarray, z: np.ndarray | Non
     return rows
 
 
-def _model_rows(spec: ModelSpec, q: np.ndarray, standardized: bool = True) -> np.ndarray:
+def model_rows(spec: ModelSpec, q: np.ndarray, standardized: bool = True) -> np.ndarray:
     """(n, p) model rows of the runs whose positions q_c are the rows of ``q``.
 
     With ``standardized`` false the surface families put q_c itself in place
@@ -374,30 +374,45 @@ def build_matrix(spec: ModelSpec, runs: Sequence[Permutation]) -> DesignMatrix:
 
 def _matrix_from_positions(spec: ModelSpec, q: np.ndarray) -> DesignMatrix:
     """The model matrix of the runs whose positions q_c are the rows of ``q``."""
-    values = _model_rows(spec, q)
+    values = model_rows(spec, q)
     return DesignMatrix(values, term_labels(spec, q.shape[1]), q.shape[1], spec)
+
+
+def position_blocks(
+    m: int, positions: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The positions q_c of all m! orders, at most :data:`BLOCK_ROWS` orders at
+    a time, as (rows, q) pairs: ``q`` holds the positions of the orders in
+    rows ``rows`` of :func:`~oofa.perms.order_array`, computed from those
+    orders alone, so no m!-row position array is ever kept.  Given
+    ``positions``, an (n, m) array of positions such as
+    :func:`moment_orders` returns, the blocks are its rows instead.
+
+    With k blocks, block b holds the orders b, b + k, b + 2k, ..., so every
+    block is a sample spread over all orders, and a single block is the
+    whole set.
+    """
+    n = factorial(m) if positions is None else len(positions)
+    count = -(-n // BLOCK_ROWS)
+    for b in range(count):
+        rows = slice(b, None, count)
+        yield rows, _positions(order_array(m)[rows]) if positions is None else positions[rows]
 
 
 def factorial_blocks(
     spec: ModelSpec, m: int, positions: np.ndarray | None = None, standardized: bool = True
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The model rows of all m! orders, at most :data:`BLOCK_ROWS` at a time,
-    as (rows, block) pairs: ``block`` is C-contiguous and holds the rows
-    ``rows`` of the full factorial (:func:`full_factorial_matrix`).  Given
-    ``positions``, an (n, m) array of positions q_c such as
-    :func:`moment_orders` returns, the rows are those of its orders instead;
-    ``standardized`` is passed on to the row builder.
+    """The model rows of all m! orders, in the blocks of
+    :func:`position_blocks`, as (rows, block) pairs: ``block`` is
+    C-contiguous and holds the rows ``rows`` of the full factorial
+    (:func:`full_factorial_matrix`), or of the orders of ``positions``;
+    ``standardized`` is passed on to :func:`model_rows`.
 
-    With k blocks, block b holds the orders b, b + k, b + 2k, ..., so every
-    block is a sample spread over all orders, and a single block is the
-    whole matrix.  Consumers that reduce over the orders (moments,
-    predictions) hold O(BLOCK_ROWS * p) model rows instead of m! x p.
+    Consumers that reduce over the orders (moments, predictions) hold
+    O(BLOCK_ROWS * p) model rows instead of m! x p.
     """
-    q = _factorial_positions(m) if positions is None else positions
-    count = -(-len(q) // BLOCK_ROWS)
-    for b in range(count):
-        rows = slice(b, None, count)
-        yield rows, _model_rows(spec, q[rows], standardized)
+    for rows, q in position_blocks(m, positions):
+        yield rows, model_rows(spec, q, standardized)
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,20 +527,12 @@ def _canonical_pairs(spec: ModelSpec, m: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _factorial_positions(m: int) -> np.ndarray:
-    """Positions of all m! orders (rows of :func:`~oofa.perms.order_array`), cached."""
-    q = _positions(order_array(m))
-    q.setflags(write=False)
-    return q
-
-
-@lru_cache(maxsize=None)
 def full_factorial_matrix(spec: ModelSpec, m: int) -> DesignMatrix:
     """Model matrix over all m! orders, rows in lexicographic order.
 
     Cached per (spec, m): safe because the result is immutable.
     """
-    return _matrix_from_positions(spec, _factorial_positions(m))
+    return _matrix_from_positions(spec, _positions(order_array(m)))
 
 
 def pwo_to_ltpwo_maps(m: int) -> tuple[np.ndarray, np.ndarray]:

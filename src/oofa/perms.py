@@ -123,12 +123,14 @@ def enumerate_permutations(m: int) -> tuple[Permutation, ...]:
 
 @lru_cache(maxsize=None)
 def order_array(m: int) -> np.ndarray:
-    """All m! orderings of 1..m as a read-only (m!, m) integer array.
+    """All m! orderings of 1..m as a read-only (m!, m) ``int8`` array.
 
     Rows are in the lexicographic order of :func:`enumerate_permutations`,
     so row i is ``enumerate_permutations(m)[i].order``.  Cached; code that
     only needs the orders (model matrices, the search pool) indexes this
-    instead of building m! :class:`Permutation` objects.
+    instead of building m! :class:`Permutation` objects.  One byte per entry
+    holds m <= 8 (0.3 MB at m = 8): cast to a wider type before multiplying
+    or summing entries.
 
     Built up from the single order of one component: the k! orders are one
     block per leading component c, whose rest maps the (k - 1)! orders of
@@ -147,6 +149,11 @@ def order_array(m: int) -> np.ndarray:
             # no index is out of range, and mode "clip" writes without a temporary
             rest = components[components != c]
             np.take(rest, sub, out=block[:, 1:], mode="clip")
+    # Built in intp, np.take's index type, and narrowed once.  Built in int8, the
+    # m = 8 `average` request took 30k minor page faults instead of 8k and 10 %
+    # longer: without this early 2.6 MB temporary, glibc trims and re-grows its
+    # heap between the blocks of model rows.
+    orders = orders.astype(np.int8)
     orders.setflags(write=False)
     return orders
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EstimabilityError, ValidationError
 from .fitting import FitResult
-from .models import factorial_blocks
+from .models import model_rows, position_blocks
 from .perms import Permutation, as_permutations, order_array
 
 
@@ -95,19 +96,25 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
     return est, var
 
 
-def predict_factorial(fit: FitResult) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`predict_rows` at every one of the m! orders, in lexicographic
-    order, one block of model rows at a time."""
-    w = factorial(fit.m)
-    est, var = np.empty(w), np.empty(w)
-    for rows, block in factorial_blocks(fit.spec, fit.m):
-        est[rows], var[rows] = predict_rows(fit, block)
+def predict_factorial(fits: Sequence[FitResult]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`predict_rows` of each of K fits of one m at every one of the m!
+    orders, in lexicographic order, as (K, m!) estimates and variances.
+
+    The orders are walked once, in the blocks of
+    :func:`~oofa.models.position_blocks`; each block's positions serve every
+    fit, and only one block of model rows is held at a time.
+    """
+    m = fits[0].m
+    est, var = np.empty((len(fits), factorial(m))), np.empty((len(fits), factorial(m)))
+    for rows, q in position_blocks(m):
+        for k, fit in enumerate(fits):
+            est[k, rows], var[k, rows] = predict_rows(fit, model_rows(fit.spec, q))
     return est, var
 
 
 def predict_all(fit: FitResult) -> PredictionTable:
     """Evaluate the fit at every one of the m! orders, in lexicographic order."""
-    est, var = predict_factorial(fit)
+    (est,), (var,) = predict_factorial([fit])
     return PredictionTable(order_array(fit.m), est, np.sqrt(var), rank_descending(est))
 
 

@@ -201,10 +201,11 @@ def test_average_top_sorts_by_ma_rank(capsys, m3_csv):
 
 
 def test_average_top_out_of_range(capsys, m3_csv):
-    rc, _, _ = run_cli(
+    rc, _, err = run_cli(
         capsys, "average", "--data", m3_csv, "--models", "pwo", "--top", "7"
     )
     assert rc == 2
+    assert "oofa: error: ValidationError: --top must be in 1..6, got 7" in err
 
 
 def test_average_explicit_weights(capsys, m3_csv):
@@ -309,6 +310,14 @@ def test_predict_and_average_build_no_permutation_objects(capsys, m3_csv, pwo_fi
     assert enumerate_permutations.cache_info() == before
 
 
+@pytest.mark.parametrize("top", ["0", "7"])
+def test_predict_top_out_of_range(capsys, pwo_fit_json, top):
+    """Worded as average words it: the flag, not the library's ``k``."""
+    rc, out, err = run_cli(capsys, "predict", "--fit", pwo_fit_json, "--top", top)
+    assert rc == 2 and out == ""
+    assert f"oofa: error: ValidationError: --top must be in 1..6, got {top}" in err
+
+
 def test_predict_missing_fit_file(capsys, tmp_path):
     rc, _, _ = run_cli(capsys, "predict", "--fit", str(tmp_path / "gone.json"))
     assert rc == 2
@@ -334,6 +343,16 @@ def test_predict_rejects_invalid_json(capsys, tmp_path):
     path.write_text('{"model": "pwo", "coeff', encoding="utf-8")
     rc, out, err = run_cli(capsys, "predict", "--fit", str(path))
     assert_parse_error(rc, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"pwo"', "3", "null"])
+def test_predict_rejects_a_fit_that_is_not_an_object(capsys, tmp_path, text):
+    path = tmp_path / "not_an_object.json"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run_cli(capsys, "predict", "--fit", str(path))
+    assert_parse_error(rc, err)
+    assert "oofa: error: ParseError: fit JSON must be an object" in err
     assert out == ""
 
 

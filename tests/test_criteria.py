@@ -169,7 +169,7 @@ def test_a_and_d_match_exact_arithmetic_on_an_ill_conditioned_design():
 def _integer_gram(spec, orders):
     """The exact Gram, as Fractions, of the model rows built at the integer
     positions q_c: a column scaling of the model rows."""
-    rows = models._model_rows(spec, models._positions(orders), standardized=False)
+    rows = models.model_rows(spec, models._positions(orders), standardized=False)
     assert np.array_equal(rows, np.rint(rows))
     rows = rows.astype(np.int64)
     return [[Fraction(int(v)) for v in row] for row in (rows.T @ rows).tolist()]

@@ -230,13 +230,13 @@ def _symmetry_k(spec, m):
 
 def _count_rows(monkeypatch):
     """Wrap the model-row builder; the returned list collects the rows it builds."""
-    built, build = [], models._model_rows
+    built, build = [], models.model_rows
 
     def counting(spec, q, *args):
         built.append(len(q))
         return build(spec, q, *args)
 
-    monkeypatch.setattr(models, "_model_rows", counting)
+    monkeypatch.setattr(models, "model_rows", counting)
     return built
 
 
@@ -272,7 +272,7 @@ def test_moment_rows_are_integers_where_a_divisor_is_given(label):
     spec, m = parse_model(label), 7
     orders = models.moment_orders(spec, m)
     q = models._positions(order_array(m))
-    rows = models._model_rows(spec, q, standardized=False)
+    rows = models.model_rows(spec, q, standardized=False)
     assert np.array_equal(rows, np.rint(rows)) == (label != "tpwo:geom=0.5")
     if label == "tpwo:geom=0.5":
         assert np.all(orders.divisor == 1)

@@ -41,7 +41,7 @@ def test_enumeration_is_cached():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_order_array_rows_are_the_enumerated_orders(m):
     orders = order_array(m)
-    assert orders.shape == (math.factorial(m), m) and orders.dtype == np.intp
+    assert orders.shape == (math.factorial(m), m) and orders.dtype == np.int8
     assert np.array_equal(orders, list(itertools.permutations(range(1, m + 1))))
     assert orders.tolist() == [list(p.order) for p in enumerate_permutations(m)]
     assert order_array(m) is orders

@@ -24,11 +24,13 @@ from oofa import (
 from oofa import dataio
 from oofa.cli import _weighted_candidates, main
 from oofa.dataio import (
-    fit_from_dict, read_design, table_to_csv, table_to_json, write_design, write_table,
+    LabelColumn, OrderColumn, fit_from_dict, read_design, table_to_csv, table_to_json,
+    write_design, write_table,
 )
+from oofa.perms import order_array
 from oofa.ranking import PredictionTable, rank_descending
 
-BLOCK_SIZES = (1, 3, dataio.BLOCK_ROWS)
+BLOCK_SIZES = (1, 3, dataio.BLOCK_ROWS, 4096)
 
 
 # -- reference rendering -------------------------------------------------------
@@ -156,6 +158,36 @@ def test_template_writer_matches_row_by_row_rendering(header, columns):
             assert out.getvalue() == want
 
 
+#: Names csv must quote or a % template must not take in, with one repeated.
+ODD_NAMES = ("a,b", 'say "hi"', "x\ny", "é", "%s", "a,b")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("names", [ODD_NAMES, ODD_NAMES[2:], ("p", "q", "r", "s")],
+                         ids=["odd-and-repeated", "odd", "plain"])
+def test_label_and_order_columns_match_row_by_row_rendering(fmt, names):
+    """Label and order columns make their cells one block at a time: the text
+    must not depend on where the blocks split the rows."""
+    orders = order_array(len(names))  # int8 components 1..m, as the CLI passes them
+    first, last = orders[:, 0] - 1, orders[:, -1] - 1
+    x = np.linspace(-1.0, 1.0, len(orders))
+    text = [" ".join(names[c - 1] for c in order) for order in orders.tolist()]
+    tables = [
+        (["order", "first", "x", "last"],
+         [OrderColumn(names, orders), LabelColumn(names, first), x, LabelColumn(names, last)],
+         [[t, names[f], v, names[g]] for t, f, v, g in zip(text, first, x, last)]),
+        (["order"], [OrderColumn(names, orders)], [[t] for t in text]),
+        (["first"], [LabelColumn(names, first)], [[names[f]] for f in first]),
+    ]
+    for header, columns, rows in tables:
+        want = reference_json(header, rows) + "\n" if fmt == "json" else reference_csv(header, rows)
+        for size in BLOCK_SIZES:
+            with mock.patch.object(dataio, "BLOCK_ROWS", size):
+                out = io.StringIO()
+                write_table(out, header, columns, fmt)
+                assert out.getvalue() == want, (header, size)
+
+
 class _Level(enum.IntEnum):
     LOW = 1
     HIGH = 2
@@ -230,7 +262,7 @@ def fit_files(tmp_path_factory, data_files):
     return paths
 
 
-@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS])
+@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS, 4096])
 @pytest.mark.parametrize("fit_name, extra", [
     ("pwo4", []),
     ("pwo4", ["--format", "json"]),
@@ -263,7 +295,7 @@ def test_predict_output_is_the_reference_rendering(capsys, monkeypatch, fit_file
     assert _stdout(capsys, argv) == want
 
 
-@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS])
+@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS, 4096])
 @pytest.mark.parametrize("data, models, extra", [
     ("m3_runs.csv", "pwo,tpwo:invh,nn,rs2", []),
     ("m3_runs.csv", "pwo,rs2", ["--format", "json", "--weights", "0.25,0.75"]),
@@ -314,7 +346,7 @@ def test_average_output_is_the_reference_rendering(capsys, monkeypatch, data_fil
     assert _stdout(capsys, argv) == _render(argv, header, rows)
 
 
-@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS])
+@pytest.mark.parametrize("block", [3, dataio.BLOCK_ROWS, 4096])
 @pytest.mark.parametrize("labels, extra", [
     (None, []),
     (('say "hi"', "x\ny", "é", "%s"), []),
