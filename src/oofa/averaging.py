@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import check_weights
 from .errors import SaturatedModelError, ValidationError
-from .fitting import FitResult, akaike_weights, check_weights, information_criteria
+from .fitting import FitResult, akaike_weights, information_criteria
 from .perms import Permutation, as_permutations, order_array
 from .ranking import predict_factorial, rank_descending
 

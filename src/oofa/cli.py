@@ -3,7 +3,8 @@
 Every invocation prints its effective configuration to stderr as a single
 ``# config:`` line, so any run can be reproduced from its logs.  Exit codes:
 0 success, 2 argument/validation problems, 1 numerical failures (rank
-deficiency, saturation, search dead ends).
+deficiency, saturation, search dead ends).  Each command imports the package
+modules it uses when it runs, so a request loads only those.
 """
 
 from __future__ import annotations
@@ -12,35 +13,19 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .averaging import CandidateSet, average_predictions
-from .criteria import (
-    ORIENTATION,
-    CompoundMember,
-    CompoundSpec,
-    CriterionKind,
-    CriterionSpec,
-    criterion_value,
-)
-from .dataio import (
-    LabelColumn,
-    OrderColumn,
-    fit_from_dict,
-    fit_to_dict,
-    read_design,
-    to_json,
-    write_design,
-    write_table,
-)
 from .errors import OofaError, ParseError, SaturatedModelError, ValidationError
-from .fitting import Dataset, FitResult, ols_fit
-from .models import Family, ModelSpec, build_matrix, parse_model, rs2_rows
-from .perms import check_capacity, order_array, standardize
-from .ranking import PredictionTable, predict_all, predict_rows, rank_descending, top_k
-from .search import SearchConfig, exchange_search
+
+if TYPE_CHECKING:
+    from .averaging import CandidateSet
+    from .dataio import LabelColumn
+    from .design import Dataset, Design
+    from .fitting import FitResult
+    from .models import ModelSpec
 
 #: Largest ``surface --grid``: the grid has grid² points, and 1000² rows is
 #: already far more than a plot of the (p1, p2) plane needs.
@@ -58,11 +43,15 @@ def _emit_config(args: argparse.Namespace, keys: list[str]) -> None:
 
 
 def _emit_table(args: argparse.Namespace, header, columns) -> None:
+    from .dataio import write_table
+
     write_table(sys.stdout, header, columns, getattr(args, "format", "csv"))
 
 
 def _order_labels(orders: np.ndarray, labels) -> list[LabelColumn]:
     """One table column per position: the component label there in each order."""
+    from .dataio import LabelColumn
+
     return [LabelColumn(labels, components - 1) for components in orders.T]
 
 
@@ -72,6 +61,8 @@ def _check_top(top: int | None, count: int) -> None:
 
 
 def _model_list(text: str) -> list[ModelSpec]:
+    from .models import parse_model
+
     labels = [part for part in text.split(",") if part.strip()]
     if not labels:
         raise ValidationError("empty model list")
@@ -82,13 +73,26 @@ def _model_list(text: str) -> list[ModelSpec]:
 
 
 def _load_dataset(path: str) -> Dataset:
+    from .dataio import read_design
+    from .design import Dataset
+
     loaded = read_design(path)
     if not isinstance(loaded, Dataset):
         raise ValidationError(f"{path} has no response column y")
     return loaded
 
 
+def _load_design(path: str) -> Design:
+    from .dataio import read_design
+    from .design import Dataset
+
+    loaded = read_design(path)
+    return loaded.design if isinstance(loaded, Dataset) else loaded
+
+
 def _apply_block(data: Dataset, use_block: bool) -> Dataset:
+    from .design import Dataset
+
     if use_block:
         if data.design.block is None:
             raise ValidationError("--block given but the file has no block column")
@@ -112,6 +116,8 @@ def _parse_weight_list(text: str, count: int) -> list[float]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
+    from .perms import check_capacity, order_array
+
     _emit_config(args, ["m", "labels", "format"])
     check_capacity(args.m)
     labels = None
@@ -129,15 +135,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> None:
+    from .models import build_matrix, parse_model
+
     _emit_config(args, ["model", "design", "format"])
     spec = parse_model(args.model)
-    loaded = read_design(args.design)
-    design = loaded.design if isinstance(loaded, Dataset) else loaded
-    built = build_matrix(spec, design.runs)
+    built = build_matrix(spec, _load_design(args.design).runs)
     _emit_table(args, built.term_labels, list(built.values.T))
 
 
 def _cmd_fit(args: argparse.Namespace) -> None:
+    from .dataio import fit_to_dict, to_json
+    from .fitting import ols_fit
+    from .models import parse_model
+
     _emit_config(args, ["model", "data", "block", "out"])
     spec = parse_model(args.model)
     data = _apply_block(_load_dataset(args.data), args.block)
@@ -153,6 +163,8 @@ def _weighted_candidates(
     fits: list[FitResult], weights_arg: str
 ) -> tuple[CandidateSet, list[FitResult]]:
     """Candidate set plus any fits carried along for display only."""
+    from .averaging import CandidateSet
+
     if weights_arg != "akaike":
         weights = _parse_weight_list(weights_arg, len(fits))
         return CandidateSet(tuple(fits), tuple(weights)), []
@@ -175,6 +187,10 @@ def _weighted_candidates(
 
 
 def _cmd_average(args: argparse.Namespace) -> None:
+    from .averaging import average_predictions
+    from .fitting import ols_fit
+    from .ranking import predict_all
+
     _emit_config(args, ["data", "models", "weights", "block", "top", "format"])
     specs = _model_list(args.models)
     data = _apply_block(_load_dataset(args.data), args.block)
@@ -209,6 +225,9 @@ def _cmd_average(args: argparse.Namespace) -> None:
 
 
 def _cmd_predict(args: argparse.Namespace) -> None:
+    from .dataio import OrderColumn, fit_from_dict
+    from .ranking import PredictionTable, predict_all, rank_descending, top_k
+
     _emit_config(args, ["fit", "top", "minimize", "format"])
     with open(args.fit, "r", encoding="utf-8") as handle:
         try:
@@ -230,10 +249,11 @@ def _cmd_predict(args: argparse.Namespace) -> None:
 
 
 def _cmd_criteria(args: argparse.Namespace) -> None:
+    from .criteria import ORIENTATION, CriterionKind, CriterionSpec, criterion_value
+
     _emit_config(args, ["design", "models", "criterion", "sigma2", "orth", "format"])
     specs = _model_list(args.models)
-    loaded = read_design(args.design)
-    design = loaded.design if isinstance(loaded, Dataset) else loaded
+    design = _load_design(args.design)
     kind = CriterionKind(args.criterion)
     crit = CriterionSpec(kind, args.sigma2, args.orth)
     values = [criterion_value(spec, crit, design) for spec in specs]
@@ -246,6 +266,10 @@ def _cmd_criteria(args: argparse.Namespace) -> None:
 
 
 def _cmd_design(args: argparse.Namespace) -> None:
+    from .criteria import CompoundMember, CompoundSpec, CriterionKind, CriterionSpec
+    from .dataio import to_json, write_design
+    from .search import SearchConfig, exchange_search
+
     if args.seed is None:
         env_seed = os.environ.get("OOFA_SEED", "0")
         try:
@@ -302,6 +326,11 @@ def _cmd_design(args: argparse.Namespace) -> None:
 
 
 def _cmd_surface(args: argparse.Namespace) -> None:
+    from .fitting import ols_fit
+    from .models import Family, build_matrix, parse_model, rs2_rows
+    from .perms import standardize
+    from .ranking import predict_rows
+
     _emit_config(args, ["data", "model", "grid", "block", "format"])
     spec = parse_model(args.model)
     if spec.family is not Family.RS2:

@@ -50,9 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import Design
+from .design import RANK_RTOL, Design, check_weights
 from .errors import EstimabilityError, ValidationError
-from .fitting import RANK_RTOL, check_weights
 from .models import (
     ModelSpec,
     build_matrix,

@@ -21,14 +21,16 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .design import Design
+from .design import Dataset, Design
 from .errors import ParseError, ValidationError
-from .fitting import Dataset, FitResult, ols_fit
 from .models import ModelSpec, parse_model
+
+if TYPE_CHECKING:
+    from .fitting import FitResult
 
 #: Rows formatted and written at a time by :func:`write_table`.
 BLOCK_ROWS = 1024
@@ -405,6 +407,15 @@ def fit_to_dict(fit: FitResult) -> dict:
     return out
 
 
+def _json_field(value, kind: type, where: str):
+    """``value``, or a ParseError naming ``where`` unless it is a ``kind``
+    (``dict`` for a JSON object, ``list`` for an array)."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "an array"
+        raise ParseError(f"malformed fit JSON: {where} must be {noun}")
+    return value
+
+
 def fit_from_dict(payload: dict) -> FitResult:
     """Refit the model to the data a :func:`fit_to_dict` payload carries.
 
@@ -414,6 +425,8 @@ def fit_from_dict(payload: dict) -> FitResult:
     an edited file is refused rather than used.  A refit that fails ends as
     ``oofa fit`` does on the same data.
     """
+    from .fitting import ols_fit
+
     if not isinstance(payload, dict):
         raise ParseError("fit JSON must be an object")
     try:
@@ -421,14 +434,18 @@ def fit_from_dict(payload: dict) -> FitResult:
         if payload.get("taper"):
             label = f"{label}:{payload['taper']}"
         spec: ModelSpec = parse_model(label)
-        data_part = payload["data"]
+        data_part = _json_field(payload["data"], dict, "data")
+        orders = _json_field(data_part["orders"], list, "data.orders")
         design = Design.from_orders(
-            [tuple(o) for o in data_part["orders"]],
+            [tuple(_json_field(o, list, f"data.orders[{i}]")) for i, o in enumerate(orders)],
             data_part.get("block"),
             data_part.get("labels"),
         )
         data = Dataset(design, np.array(data_part["y"], dtype=float))
-        coeff_rows = payload["coefficients"]
+        coeff_rows = [
+            _json_field(row, dict, f"coefficients[{i}]")
+            for i, row in enumerate(_json_field(payload["coefficients"], list, "coefficients"))
+        ]
         labels = tuple(row["term"] for row in coeff_rows)
         stored = np.array([row["estimate"] for row in coeff_rows], dtype=float)
     except ValidationError:  # a ValueError too, but already says what is wrong

@@ -24,47 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import Design
-from .errors import (
-    EstimabilityError,
-    SaturatedModelError,
-    ValidationError,
-)
+from .design import RANK_RTOL, Dataset
+from .errors import EstimabilityError, SaturatedModelError, ValidationError
 from .models import DesignMatrix, ModelSpec, build_matrix
-
-#: Relative singular-value threshold below which a column is rank-deficient.
-RANK_RTOL = 1e-10
-#: How far from one the weights of a model average or a compound may sum.
-WEIGHT_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A design together with its observed responses."""
-
-    design: Design
-    response: np.ndarray
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.response, dtype=float)
-        if y.ndim != 1:
-            raise ValidationError("response must be a one-dimensional vector")
-        if len(y) != self.design.n:
-            raise ValidationError(
-                f"{len(y)} responses for {self.design.n} runs"
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValidationError("responses must all be finite")
-        y.setflags(write=False)
-        object.__setattr__(self, "response", y)
-
-    @property
-    def n(self) -> int:
-        return self.design.n
-
-    @property
-    def m(self) -> int:
-        return self.design.m
 
 
 @dataclass(frozen=True)
@@ -220,16 +182,3 @@ def akaike_weights(criteria) -> np.ndarray:
     raw = np.exp(-(values - values.min()) / 2.0)
     return raw / raw.sum()
 
-
-def check_weights(weights, what: str) -> None:
-    """Raise ValidationError unless the weights are finite, non-negative and
-    sum to one within WEIGHT_SUM_TOL; ``what`` ("model", "compound") names
-    them in the message."""
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise ValidationError(f"{what} weights must be finite")
-    if np.any(w < 0):
-        raise ValidationError(f"{what} weights must be non-negative")
-    total = float(w.sum())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValidationError(f"{what} weights must sum to 1, got {total!r}")

@@ -356,6 +356,28 @@ def test_predict_rejects_a_fit_that_is_not_an_object(capsys, tmp_path, text):
     assert out == ""
 
 
+#: Nested fit JSON fields of the wrong type, and the field each error names.
+BAD_NESTED_FIELDS = {
+    "data-array": (lambda d: d.update(data=[1, 2], coefficients=[]), "data must be an object"),
+    "orders-number": (lambda d: d["data"].update(orders=5), "data.orders must be an array"),
+    "order-number": (lambda d: d["data"]["orders"].__setitem__(2, 7),
+                     "data.orders[2] must be an array"),
+    "coefficients-object": (lambda d: d.update(coefficients={"term": "x"}),
+                            "coefficients must be an array"),
+    "coefficient-number": (lambda d: d.update(coefficients=[1]),
+                           "coefficients[0] must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NESTED_FIELDS)
+def test_predict_names_a_nested_field_of_the_wrong_type(capsys, pwo_fit_json, tmp_path, case):
+    edit, message = BAD_NESTED_FIELDS[case]
+    rc, out, err = run_cli(capsys, "predict", "--fit", _tampered_fit(pwo_fit_json, tmp_path, edit))
+    assert_parse_error(rc, err)
+    assert f"oofa: error: ParseError: malformed fit JSON: {message}\n" in err
+    assert out == ""
+
+
 #: Edits to fit JSON fields that predict does not read: it refits from the stored data.
 UNREAD_FIELD_EDITS = {
     "xtx_inv-truncated": lambda d: d.update(xtx_inv=d["xtx_inv"][:-1]),
