@@ -19,6 +19,7 @@ conditional variances only the spread contributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -28,13 +29,6 @@ from .fitting import FitResult, akaike_weights, information_criteria
 from .perms import Permutation, as_permutations, order_array
 from .ranking import predict_factorial, rank_descending
 
-#: Orders whose variances :func:`combine_predictions` forms at a time.  Each
-#: block's vector-matrix product must round every order as one product over
-#: all orders does.  With OpenBLAS, whose kernel fuses multiplies and adds,
-#: blocks of a multiple of 8 orders do; narrower odd blocks, or a sum taken
-#: one model at a time, can move the last bit.
-COMBINE_ORDERS = 4096
-
 
 def combine_predictions(
     estimates: np.ndarray, conditional_variances: np.ndarray, weights: np.ndarray
@@ -42,8 +36,8 @@ def combine_predictions(
     """Weight K per-model prediction vectors into one estimate and variance.
 
     ``estimates`` and ``conditional_variances`` are (K, w); ``weights`` is
-    (K,) and must sum to one.  The variances are formed
-    :data:`COMBINE_ORDERS` orders at a time, so no (K, w) temporary is built.
+    (K,) and must sum to one.  :func:`average_predictions` calls it on one
+    block of orders at a time.
     """
     est = np.asarray(estimates, dtype=float)
     cvar = np.asarray(conditional_variances, dtype=float)
@@ -54,12 +48,7 @@ def combine_predictions(
     if np.any(cvar < 0):
         raise ValidationError("conditional variances must be non-negative")
     avg = w @ est
-    var = np.empty_like(avg)
-    for start in range(0, len(avg), COMBINE_ORDERS):
-        cols = slice(start, start + COMBINE_ORDERS)
-        spread = est[:, cols] - avg[cols]
-        var[cols] = (w @ np.sqrt(cvar[:, cols] + spread**2)) ** 2
-    return avg, var
+    return avg, (w @ np.sqrt(cvar + (est - avg) ** 2)) ** 2
 
 
 @dataclass(frozen=True)
@@ -131,14 +120,23 @@ class AveragedPrediction:
 
 
 def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
-    """Average the candidate models' predictions over all m! orders."""
-    model_est, model_var = predict_factorial(candidates.fits)
-    avg, var = combine_predictions(model_est, model_var, np.array(candidates.weights))
+    """Average the candidate models' predictions over all m! orders.
+
+    The orders are walked once (:func:`~oofa.ranking.predict_factorial`) and
+    each block of predictions is combined as it arrives, so only the (K, m!)
+    estimates and the m!-long results are kept.
+    """
+    m, weights = candidates.fits[0].m, np.array(candidates.weights)
+    model_est = np.empty((len(candidates.fits), factorial(m)))
+    avg, var = np.empty(factorial(m)), np.empty(factorial(m))
+    for rows, est, cvar in predict_factorial(candidates.fits):
+        model_est[:, rows] = est
+        avg[rows], var[rows] = combine_predictions(est, cvar, weights)
     model_ranks = np.empty(model_est.shape, dtype=int)
     for ranks, est in zip(model_ranks, model_est):
         ranks[:] = rank_descending(est)
     return AveragedPrediction(
-        order_array(candidates.fits[0].m), avg, var, np.sqrt(var), rank_descending(avg),
+        order_array(m), avg, var, np.sqrt(var), rank_descending(avg),
         model_est, model_ranks,
     )
 

@@ -37,8 +37,10 @@ MAX_GRID = 1000
 # ---------------------------------------------------------------------------
 
 
-def _emit_config(args: argparse.Namespace, keys: list[str]) -> None:
-    parts = [f"{key.replace('_', '-')}={getattr(args, key)}" for key in keys]
+def _emit_config(args: argparse.Namespace) -> None:
+    """Print every parsed argument but the command and its handler, in parser order."""
+    parts = [f"{key.replace('_', '-')}={value}" for key, value in vars(args).items()
+             if key not in ("command", "func")]
     print(f"# config: {args.command} " + " ".join(parts), file=sys.stderr)
 
 
@@ -116,19 +118,15 @@ def _parse_weight_list(text: str, count: int) -> list[float]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
+    from .design import check_labels
     from .perms import check_capacity, order_array
 
-    _emit_config(args, ["m", "labels", "format"])
+    _emit_config(args)
     check_capacity(args.m)
     labels = None
     if args.labels:
         labels = tuple(part.strip() for part in args.labels.split(","))
-        if len(labels) != args.m:
-            raise ValidationError(f"{len(labels)} labels for m = {args.m}")
-        if "" in labels or len(set(labels)) != len(labels):
-            raise ValidationError(
-                f"--labels must be {args.m} distinct non-empty names, got {args.labels!r}"
-            )
+        check_labels(labels, args.m, "--labels")
     header = [f"pos_{k}" for k in range(1, args.m + 1)]
     named = labels or tuple(str(c) for c in range(1, args.m + 1))
     _emit_table(args, header, _order_labels(order_array(args.m), named))
@@ -137,7 +135,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
 def _cmd_matrix(args: argparse.Namespace) -> None:
     from .models import build_matrix, parse_model
 
-    _emit_config(args, ["model", "design", "format"])
+    _emit_config(args)
     spec = parse_model(args.model)
     built = build_matrix(spec, _load_design(args.design).runs)
     _emit_table(args, built.term_labels, list(built.values.T))
@@ -148,7 +146,7 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     from .fitting import ols_fit
     from .models import parse_model
 
-    _emit_config(args, ["model", "data", "block", "out"])
+    _emit_config(args)
     spec = parse_model(args.model)
     data = _apply_block(_load_dataset(args.data), args.block)
     fit = ols_fit(spec, data)
@@ -191,7 +189,7 @@ def _cmd_average(args: argparse.Namespace) -> None:
     from .fitting import ols_fit
     from .ranking import predict_all
 
-    _emit_config(args, ["data", "models", "weights", "block", "top", "format"])
+    _emit_config(args)
     specs = _model_list(args.models)
     data = _apply_block(_load_dataset(args.data), args.block)
     fits = [ols_fit(spec, data) for spec in specs]
@@ -228,7 +226,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
     from .dataio import OrderColumn, fit_from_dict
     from .ranking import PredictionTable, predict_all, rank_descending, top_k
 
-    _emit_config(args, ["fit", "top", "minimize", "format"])
+    _emit_config(args)
     with open(args.fit, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -251,7 +249,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
 def _cmd_criteria(args: argparse.Namespace) -> None:
     from .criteria import ORIENTATION, CriterionKind, CriterionSpec, criterion_value
 
-    _emit_config(args, ["design", "models", "criterion", "sigma2", "orth", "format"])
+    _emit_config(args)
     specs = _model_list(args.models)
     design = _load_design(args.design)
     kind = CriterionKind(args.criterion)
@@ -276,11 +274,7 @@ def _cmd_design(args: argparse.Namespace) -> None:
             args.seed = int(env_seed)
         except ValueError:
             raise ValidationError(f"OOFA_SEED must be an integer, got {env_seed!r}") from None
-    _emit_config(
-        args,
-        ["m", "runs", "models", "criterion", "sigma2", "orth", "weights",
-         "restarts", "seed", "max_passes", "out"],
-    )
+    _emit_config(args)
     specs = _model_list(args.models)
     crit = CriterionSpec(CriterionKind(args.criterion), args.sigma2, args.orth)
     if args.weights == "equal":
@@ -327,14 +321,12 @@ def _cmd_design(args: argparse.Namespace) -> None:
 
 def _cmd_surface(args: argparse.Namespace) -> None:
     from .fitting import ols_fit
-    from .models import Family, build_matrix, parse_model, rs2_rows
+    from .models import Family, ModelSpec, build_matrix, rs2_rows
     from .perms import standardize
     from .ranking import predict_rows
 
-    _emit_config(args, ["data", "model", "grid", "block", "format"])
-    spec = parse_model(args.model)
-    if spec.family is not Family.RS2:
-        raise ValidationError("surface supports the rs2 model only")
+    _emit_config(args)
+    spec = ModelSpec(Family.RS2)
     data = _apply_block(_load_dataset(args.data), args.block)
     if data.m != 3:
         raise ValidationError(f"surface supports m = 3 only, got m = {data.m}")
@@ -438,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="response-surface grid on the (p1, p2) plane")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", default="rs2")
     p.add_argument("--grid", type=int, required=True, help="grid points per axis")
     p.add_argument("--block", action="store_true")
     add_format(p)

@@ -50,15 +50,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import models
 from .design import RANK_RTOL, Design, check_weights
 from .errors import EstimabilityError, ValidationError
-from .models import (
-    ModelSpec,
-    build_matrix,
-    factorial_blocks,
-    full_factorial_matrix,
-    moment_orders,
-)
+from .models import ModelSpec, build_matrix, full_factorial_matrix, moment_orders
 
 
 class CriterionKind(str, enum.Enum):
@@ -228,8 +223,8 @@ def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, 
     40,320.  The centered moment expands the same way, because the
     canonical columns have the same means over these orders as over all.
 
-    The rows are streamed in blocks (:func:`~oofa.models.factorial_blocks`)
-    and never held whole.  They are built at the integer positions q_c (the
+    The rows are built :data:`~oofa.models.BLOCK_ROWS` orders at a time and
+    never held whole.  They are built at the integer positions q_c (the
     invh taper scaled by lcm(1..m-1)), so for every family but tpwo with the
     geom taper their Gram G and column sums s are exact, and each entry
     takes one correctly rounded division: G / D and (n G - s s^T) / (n D),
@@ -243,7 +238,11 @@ def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, 
     orders = moment_orders(spec, m)
     p = spec.param_count(m)
     gram, sums, n = np.zeros((p, p)), np.zeros(p), 0
-    for _, block in factorial_blocks(spec, m, orders.positions, standardized=False):
+    # models.BLOCK_ROWS and models.model_rows are read when this runs, so a
+    # changed block size or a wrapped row builder takes effect here too.
+    for start in range(0, len(orders.positions), models.BLOCK_ROWS):
+        block = models.model_rows(spec, orders.positions[start:start + models.BLOCK_ROWS],
+                                  standardized=False)
         gram += block.T @ block
         sums += block.sum(axis=0)
         n += len(block)

@@ -39,11 +39,6 @@ BLOCK_ROWS = 1024
 COEF_RTOL = 1e-9
 
 
-def format_float(value: float) -> str:
-    """12-significant-digit decimal, locale-independent."""
-    return "%.12g" % float(value)
-
-
 def _open_source(source) -> tuple[IO[str], bool]:
     if hasattr(source, "read"):
         return source, False
@@ -140,30 +135,24 @@ def read_design(source) -> Design | Dataset:
 
 
 def write_design(target, obj: Design | Dataset, run_index: bool = False) -> None:
-    """Write a Design or Dataset back out in the design-file format."""
+    """Write a Design or Dataset back out in the design-file format, through
+    :func:`write_table`."""
     design = obj.design if isinstance(obj, Dataset) else obj
-    response = obj.response if isinstance(obj, Dataset) else None
+    orders = np.array([run.order for run in design.runs], dtype=np.intp)
+    header = [f"pos_{k}" for k in range(1, design.m + 1)]
+    columns = [LabelColumn(design.component_labels, components - 1) for components in orders.T]
+    if run_index:
+        header.insert(0, "run")
+        columns.insert(0, np.arange(1, design.n + 1))
+    if design.block is not None:
+        header.append("block")
+        columns.append(design.block)
+    if isinstance(obj, Dataset):
+        header.append("y")
+        columns.append(obj.response)
     stream, owned = _open_target(target)
     try:
-        writer = csv.writer(stream, lineterminator="\n")
-        header = (["run"] if run_index else []) + [
-            f"pos_{k}" for k in range(1, design.m + 1)
-        ]
-        if design.block is not None:
-            header.append("block")
-        if response is not None:
-            header.append("y")
-        writer.writerow(header)
-        labels = design.component_labels
-        for i, run in enumerate(design.runs):
-            row = ([str(i + 1)] if run_index else []) + [
-                labels[c - 1] for c in run.order
-            ]
-            if design.block is not None:
-                row.append(design.block[i])
-            if response is not None:
-                row.append(format_float(response[i]))
-            writer.writerow(row)
+        write_table(stream, header, columns)
     finally:
         if owned:
             stream.close()
@@ -209,21 +198,17 @@ def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: 
 
     Each column is a :class:`LabelColumn`, an :class:`OrderColumn` (cells
     are strings), or a 1-D array or sequence whose cells share one type:
-    strings are written as they are, booleans as ``true``/``false``,
-    integers in decimal and floats as :func:`format_float` does in CSV.
-    ``fmt="json"`` writes exactly ``json.dumps(records, indent=2)`` of the
-    list of row objects (keys in header order, NaN as ``null``) and a
-    newline.  Rows are formatted and written BLOCK_ROWS at a time, so the
+    strings are written as they are, integers in decimal and floats in CSV
+    as 12-significant-digit decimals (``%.12g``).  ``fmt="json"`` writes
+    exactly ``json.dumps(records, indent=2)`` of the list of row objects
+    (keys in header order, NaN as ``null``) and a newline, for distinct
+    header names.  Rows are formatted and written BLOCK_ROWS at a time, so the
     formatted table never sits in memory whole; in both formats each row is
     one ``%`` of a template built once per table.
     """
     header = list(header)
     if not header or len(columns) != len(header):
         raise ValueError(f"{len(columns)} columns for {len(header)} header names")
-    if fmt == "json":  # a repeated key keeps its first place and its last value, as in a dict
-        last = {key: j for j, key in enumerate(header)}
-        header = list(last)
-        columns = [columns[last[key]] for key in header]
     typed = [_typed_column(column) for column in columns]
     n = len(typed[0][1])
     if any(len(values) != n for _, values in typed):
@@ -269,20 +254,18 @@ def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None
 
 
 def _typed_column(column) -> tuple[str, object]:
-    """(kind, values): kind 'f', 'i', 'b' or 's' says how the cells are written."""
+    """(kind, values): kind 'f', 'i' or 's' says how the cells are written."""
     if isinstance(column, LabelColumn):
         kind, labels = _typed_column(list(column.labels))
         return kind, LabelColumn(labels, column.codes)
     if isinstance(column, OrderColumn):
         return "s", column
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
         kind = "i" if column.dtype.kind == "u" else column.dtype.kind
         return kind, column
     types = set(map(type, column))
     if all(issubclass(t, str) for t in types):
         return "s", column
-    if all(issubclass(t, (bool, np.bool_)) for t in types):
-        return "b", column
     if all(issubclass(t, (int, np.integer)) for t in types):
         return "i", column
     return "f", np.asarray(column, dtype=float)
@@ -322,11 +305,9 @@ def _needs_quoting(cells: Sequence[str]) -> bool:
 
 
 _JSON_SPECIAL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
-_BOOLS = {True: "true", False: "false"}
 _CSV_CELLS = {
     "f": lambda values: ["%.12g" % v for v in values],
     "i": lambda values: list(map(str, values)),
-    "b": lambda values: [_BOOLS[v] for v in values],
     "s": _as_is,
 }
 #: Cells for a CSV row template: floats and ints go in as values (``%.12g``, ``%s``).
@@ -334,7 +315,6 @@ _TEMPLATE_CELLS = {**_CSV_CELLS, "f": _as_is, "i": _as_is}
 _JSON_CELLS = {
     "f": _json_floats,
     "i": _CSV_CELLS["i"],
-    "b": _CSV_CELLS["b"],
     "s": lambda values: list(map(encode_basestring_ascii, values)),
 }
 

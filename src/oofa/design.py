@@ -44,10 +44,8 @@ class Design:
             raise ValidationError(
                 f"{len(self.block)} block labels for {len(self.runs)} runs"
             )
-        if self.labels is not None and len(self.labels) != m:
-            raise ValidationError(
-                f"{len(self.labels)} component labels for m = {m}"
-            )
+        if self.labels is not None:
+            check_labels(self.labels, m, "component labels")
 
     @classmethod
     def from_orders(
@@ -142,6 +140,16 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.design.m
+
+
+def check_labels(labels: Sequence[str], m: int, what: str) -> None:
+    """Raise ValidationError unless ``labels`` are m distinct non-empty
+    names; ``what`` ("component labels", "--labels") names them in the
+    message."""
+    if len(labels) != m or "" in labels or len(set(labels)) != m:
+        raise ValidationError(
+            f"{what} must be {m} distinct non-empty names, got {list(labels)!r}"
+        )
 
 
 def check_weights(weights, what: str) -> None:

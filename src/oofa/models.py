@@ -65,7 +65,7 @@ import numpy as np
 from .errors import EstimabilityError, UnsupportedModelError, ValidationError
 from .perms import Permutation, as_permutations, order_array
 
-#: Rows per block when the m! full factorial is streamed (:func:`factorial_blocks`).
+#: Orders per block when the m! orders are walked (:func:`position_blocks`).
 BLOCK_ROWS = 4096
 
 
@@ -378,41 +378,16 @@ def _matrix_from_positions(spec: ModelSpec, q: np.ndarray) -> DesignMatrix:
     return DesignMatrix(values, term_labels(spec, q.shape[1]), q.shape[1], spec)
 
 
-def position_blocks(
-    m: int, positions: np.ndarray | None = None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The positions q_c of all m! orders, at most :data:`BLOCK_ROWS` orders at
-    a time, as (rows, q) pairs: ``q`` holds the positions of the orders in
-    rows ``rows`` of :func:`~oofa.perms.order_array`, computed from those
-    orders alone, so no m!-row position array is ever kept.  Given
-    ``positions``, an (n, m) array of positions such as
-    :func:`moment_orders` returns, the blocks are its rows instead.
-
-    With k blocks, block b holds the orders b, b + k, b + 2k, ..., so every
-    block is a sample spread over all orders, and a single block is the
-    whole set.
+def position_blocks(m: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The positions q_c of all m! orders, :data:`BLOCK_ROWS` orders at a
+    time, as (rows, q) pairs: ``rows`` is a slice of consecutive rows of
+    :func:`~oofa.perms.order_array` and ``q`` holds the positions of those
+    orders, computed from them alone, so no m!-row position array is ever
+    kept.  The blocks come in ascending order and tile the orders once.
     """
-    n = factorial(m) if positions is None else len(positions)
-    count = -(-n // BLOCK_ROWS)
-    for b in range(count):
-        rows = slice(b, None, count)
-        yield rows, _positions(order_array(m)[rows]) if positions is None else positions[rows]
-
-
-def factorial_blocks(
-    spec: ModelSpec, m: int, positions: np.ndarray | None = None, standardized: bool = True
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The model rows of all m! orders, in the blocks of
-    :func:`position_blocks`, as (rows, block) pairs: ``block`` is
-    C-contiguous and holds the rows ``rows`` of the full factorial
-    (:func:`full_factorial_matrix`), or of the orders of ``positions``;
-    ``standardized`` is passed on to :func:`model_rows`.
-
-    Consumers that reduce over the orders (moments, predictions) hold
-    O(BLOCK_ROWS * p) model rows instead of m! x p.
-    """
-    for rows, q in position_blocks(m, positions):
-        yield rows, model_rows(spec, q, standardized)
+    for start in range(0, factorial(m), BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        yield rows, _positions(order_array(m)[rows])
 
 
 @dataclass(frozen=True, eq=False)

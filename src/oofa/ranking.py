@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -96,25 +96,27 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
     return est, var
 
 
-def predict_factorial(fits: Sequence[FitResult]) -> tuple[np.ndarray, np.ndarray]:
+def predict_factorial(
+    fits: Sequence[FitResult],
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """:func:`predict_rows` of each of K fits of one m at every one of the m!
-    orders, in lexicographic order, as (K, m!) estimates and variances.
-
-    The orders are walked once, in the blocks of
-    :func:`~oofa.models.position_blocks`; each block's positions serve every
-    fit, and only one block of model rows is held at a time.
+    orders, as (rows, est, var) per block of
+    :func:`~oofa.models.position_blocks`: ``est`` and ``var`` are (K, b) and
+    hold the predictions at the b orders of rows ``rows`` of
+    :func:`~oofa.perms.order_array`.  The orders are walked once; each
+    block's positions serve every fit, and only one block of model rows is
+    held at a time.
     """
-    m = fits[0].m
-    est, var = np.empty((len(fits), factorial(m))), np.empty((len(fits), factorial(m)))
-    for rows, q in position_blocks(m):
-        for k, fit in enumerate(fits):
-            est[k, rows], var[k, rows] = predict_rows(fit, model_rows(fit.spec, q))
-    return est, var
+    for rows, q in position_blocks(fits[0].m):
+        est, var = zip(*(predict_rows(fit, model_rows(fit.spec, q)) for fit in fits))
+        yield rows, np.array(est), np.array(var)
 
 
 def predict_all(fit: FitResult) -> PredictionTable:
     """Evaluate the fit at every one of the m! orders, in lexicographic order."""
-    (est,), (var,) = predict_factorial([fit])
+    est, var = np.empty(factorial(fit.m)), np.empty(factorial(fit.m))
+    for rows, block_est, block_var in predict_factorial([fit]):
+        est[rows], var[rows] = block_est[0], block_var[0]
     return PredictionTable(order_array(fit.m), est, np.sqrt(var), rank_descending(est))
 
 

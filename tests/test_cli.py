@@ -406,6 +406,37 @@ def test_predict_refuses_an_edited_coefficient(capsys, pwo_fit_json, tmp_path, i
     assert out == "" and "disagree with a refit" in err
 
 
+def assert_validation_error(rc, err, message):
+    assert rc == 2
+    lines = [line for line in err.splitlines() if not line.startswith("# config:")]
+    assert lines == [f"oofa: error: ValidationError: {message}"], err
+
+
+@pytest.mark.parametrize("labels", [["A", "A", "B"], ["A", "", "B"], ["A", "B"]])
+def test_predict_refuses_fit_labels_that_are_not_distinct_names(capsys, pwo_fit_json, tmp_path,
+                                                                 labels):
+    path = _tampered_fit(pwo_fit_json, tmp_path, lambda d: d["data"].update(labels=labels))
+    rc, out, err = run_cli(capsys, "predict", "--fit", path)
+    assert_validation_error(
+        rc, err, f"component labels must be 3 distinct non-empty names, got {labels!r}")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--model", "pwo", "--data"],
+    ["average", "--models", "pwo,rs2", "--data"],
+    ["criteria", "--models", "pwo", "--criterion", "apv", "--design"],
+])
+def test_design_file_with_an_empty_component_cell_is_refused(capsys, tmp_path, command):
+    path = tmp_path / "empty_cell.csv"
+    path.write_text("pos_1,pos_2,pos_3,y\nA,,B,1.0\n,A,B,2.0\nB,A,,3.0\nA,B,,4.0\n"
+                    ",B,A,5.0\nB,,A,6.5\nA,,B,7.0\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, *command, str(path))
+    assert_validation_error(
+        rc, err, "component labels must be 3 distinct non-empty names, got ['A', '', 'B']")
+    assert out == ""
+
+
 def test_predict_refit_failure_ends_as_fit_does(capsys, pwo_fit_json, huge_csv, tmp_path):
     """Data edited so that the model overflows on it fails as `fit` fails on it."""
     huge = read_design(huge_csv)
@@ -762,13 +793,6 @@ def test_surface_rejects_other_m(capsys, m4_csv):
     rc, _, err = run_cli(capsys, "surface", "--data", m4_csv, "--grid", "3")
     assert rc == 2
     assert "m = 3" in err
-
-
-def test_surface_rejects_other_models(capsys, m3_csv):
-    rc, _, _ = run_cli(
-        capsys, "surface", "--data", m3_csv, "--grid", "3", "--model", "pwo"
-    )
-    assert rc == 2
 
 
 def test_surface_grid_must_be_at_least_two(capsys, m3_csv):

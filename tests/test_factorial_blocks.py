@@ -120,16 +120,18 @@ def test_rs2_rows_at_order_positions_equal_the_model_matrix():
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_blocks_tile_the_full_factorial(m, monkeypatch):
-    for size in _block_sizes(m):
+    """position_blocks walks order_array(m) once, in contiguous ascending
+    blocks of BLOCK_ROWS orders, each with the positions of its orders."""
+    w = math.factorial(m)
+    q = models._positions(order_array(m))
+    for size in (1, 7, 4096, w):
         monkeypatch.setattr(models, "BLOCK_ROWS", size)
-        for spec in _specs(m):
-            whole = _whole(spec, m)
-            seen = np.zeros(len(whole), dtype=int)
-            for rows, block in models.factorial_blocks(spec, m):
-                assert len(block) <= size and block.flags.c_contiguous
-                assert np.array_equal(block, whole[rows])
-                seen[rows] += 1
-            assert np.all(seen == 1)
+        start = 0
+        for rows, block in models.position_blocks(m):
+            assert (rows.start, rows.step) == (start, None)
+            assert np.array_equal(block, q[rows]) and 0 < len(block) <= size
+            start += len(block)
+        assert start == w
 
 
 # -- moments -------------------------------------------------------------------
@@ -209,15 +211,19 @@ def test_integer_gram_is_exact(label, m):
     assert np.abs(centered * w - scaled).max() <= 1e-13 * np.abs(scaled).max()
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(2, 9))
 def test_factorial_moments_do_not_depend_on_the_block_size(m, monkeypatch):
+    """Bit for bit: every row sum is exact (integer rows, or the dyadic taper
+    of geom=0.5), so no split of the order set can move a bit.  At the
+    default size the rs3 and rs3s sums at m = 8 span several blocks."""
     for spec in _specs(m):
         plain, centered, _ = _fresh_moments(spec, m)
         for size in _block_sizes(m):
             monkeypatch.setattr(models, "BLOCK_ROWS", size)
             other_plain, other_centered, _ = _fresh_moments(spec, m)
-            assert _frobenius_rel(other_plain, plain) <= 1e-13, (spec.label, size)
-            assert _frobenius_rel(other_centered, centered) <= 1e-13, (spec.label, size)
+            assert np.array_equal(other_plain, plain), (spec.label, size)
+            assert np.array_equal(other_centered, centered), (spec.label, size)
+        monkeypatch.undo()
 
 
 #: k of each family: a moment entry depends on the positions of at most k components.
@@ -232,9 +238,9 @@ def _count_rows(monkeypatch):
     """Wrap the model-row builder; the returned list collects the rows it builds."""
     built, build = [], models.model_rows
 
-    def counting(spec, q, *args):
+    def counting(spec, q, *args, **kwargs):
         built.append(len(q))
-        return build(spec, q, *args)
+        return build(spec, q, *args, **kwargs)
 
     monkeypatch.setattr(models, "model_rows", counting)
     return built
@@ -249,6 +255,21 @@ def test_factorial_moments_build_a_symmetry_reduced_order_set(m, monkeypatch):
         _, _, count = _fresh_moments(spec, m)
         assert count == w
         assert sum(built) <= w // math.factorial(m - _symmetry_k(spec, m)), spec.label
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096])
+def test_factorial_moments_build_rows_block_rows_at_a_time(size, monkeypatch):
+    """A patched models.BLOCK_ROWS reaches factorial_moments: each model-row
+    call builds at most that many rows, and the calls cover the order set."""
+    monkeypatch.setattr(models, "BLOCK_ROWS", size)
+    built = _count_rows(monkeypatch)
+    for m in (5, 8) if size > 1 else (5,):
+        for spec in _specs(m):
+            built.clear()
+            _fresh_moments(spec, m)
+            n = len(models.moment_orders(spec, m).positions)
+            assert sum(built) == n, spec.label
+            assert built == [size] * (n // size) + ([n % size] if n % size else []), spec.label
 
 
 @pytest.mark.parametrize("m", range(2, 9))

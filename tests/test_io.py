@@ -23,7 +23,6 @@ from oofa.dataio import (
     LabelColumn,
     fit_from_dict,
     fit_to_dict,
-    format_float,
     table_to_csv,
     table_to_json,
     write_table,
@@ -112,11 +111,10 @@ def test_too_many_labels_rejected():
 
 
 def test_format_float():
-    assert format_float(1 / 3) == "0.333333333333"
-    assert format_float(1.0) == "1"
-    assert format_float(1e-5) == "1e-05"
-    assert format_float(-2.5) == "-2.5"
-    assert format_float(123456789012345.0) == "1.23456789012e+14"
+    """Floats take 12 significant digits in CSV."""
+    cells = [1 / 3, 1.0, 1e-5, -2.5, 123456789012345.0]
+    text = table_to_csv(["x"], [[v] for v in cells])
+    assert text.splitlines() == ["x", "0.333333333333", "1", "1e-05", "-2.5", "1.23456789012e+14"]
 
 
 def test_table_to_csv_formats_cells():
