@@ -70,7 +70,7 @@ class CandidateSet:
         for fit in self.fits:
             if fit.data is not first and not (
                 np.array_equal(fit.data.response, first.response)
-                and fit.data.design.runs == first.design.runs
+                and np.array_equal(fit.data.design.orders, first.design.orders)
             ):
                 raise ValidationError("all fits must share one dataset")
             if fit.sigma2_hat is None:
@@ -116,7 +116,7 @@ class AveragedPrediction:
     @property
     def perms(self) -> tuple[Permutation, ...]:
         """The row orders as :class:`Permutation` objects (built on each access)."""
-        return as_permutations(self.orders.tolist())
+        return as_permutations(self.orders)
 
 
 def average_predictions(candidates: CandidateSet) -> AveragedPrediction:

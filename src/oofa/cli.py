@@ -22,7 +22,6 @@ from .errors import OofaError, ParseError, SaturatedModelError, ValidationError
 
 if TYPE_CHECKING:
     from .averaging import CandidateSet
-    from .dataio import LabelColumn
     from .design import Dataset, Design
     from .fitting import FitResult
     from .models import ModelSpec
@@ -48,13 +47,6 @@ def _emit_table(args: argparse.Namespace, header, columns) -> None:
     from .dataio import write_table
 
     write_table(sys.stdout, header, columns, getattr(args, "format", "csv"))
-
-
-def _order_labels(orders: np.ndarray, labels) -> list[LabelColumn]:
-    """One table column per position: the component label there in each order."""
-    from .dataio import LabelColumn
-
-    return [LabelColumn(labels, components - 1) for components in orders.T]
 
 
 def _check_top(top: int | None, count: int) -> None:
@@ -118,6 +110,7 @@ def _parse_weight_list(text: str, count: int) -> list[float]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> None:
+    from .dataio import position_columns
     from .design import check_labels
     from .perms import check_capacity, order_array
 
@@ -127,17 +120,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> None:
     if args.labels:
         labels = tuple(part.strip() for part in args.labels.split(","))
         check_labels(labels, args.m, "--labels")
-    header = [f"pos_{k}" for k in range(1, args.m + 1)]
     named = labels or tuple(str(c) for c in range(1, args.m + 1))
-    _emit_table(args, header, _order_labels(order_array(args.m), named))
+    _emit_table(args, *position_columns(order_array(args.m), named))
 
 
 def _cmd_matrix(args: argparse.Namespace) -> None:
-    from .models import build_matrix, parse_model
+    from .models import order_matrix, parse_model
 
     _emit_config(args)
     spec = parse_model(args.model)
-    built = build_matrix(spec, _load_design(args.design).runs)
+    built = order_matrix(spec, _load_design(args.design).orders)
     _emit_table(args, built.term_labels, list(built.values.T))
 
 
@@ -186,6 +178,7 @@ def _weighted_candidates(
 
 def _cmd_average(args: argparse.Namespace) -> None:
     from .averaging import average_predictions
+    from .dataio import position_columns
     from .fitting import ols_fit
     from .ranking import predict_all
 
@@ -196,7 +189,6 @@ def _cmd_average(args: argparse.Namespace) -> None:
     candidates, display_only = _weighted_candidates(fits, args.weights)
     averaged = average_predictions(candidates)
 
-    labels = data.design.component_labels
     predicted = {
         id(fit): (est, ranks)
         for fit, est, ranks in zip(candidates.fits, averaged.model_estimates, averaged.model_ranks)
@@ -206,18 +198,15 @@ def _cmd_average(args: argparse.Namespace) -> None:
         predicted[id(fit)] = (table.estimates, table.ranks)
     per_model = [(fit.spec.label, *predicted[id(fit)]) for fit in fits]
 
-    header = [f"pos_{k}" for k in range(1, data.m + 1)]
-    for label, _, _ in per_model:
-        header += [f"est_{label}", f"rank_{label}"]
-    header += ["ma_estimate", "ma_rank", "ma_se"]
-
     rows = slice(None)
     _check_top(args.top, len(averaged))
     if args.top is not None:
         rows = np.argsort(averaged.ranks)[: args.top]
-    columns = _order_labels(averaged.orders[rows], labels)
-    for _, est, ranks in per_model:
+    header, columns = position_columns(averaged.orders[rows], data.design.component_labels)
+    for label, est, ranks in per_model:
+        header += [f"est_{label}", f"rank_{label}"]
         columns += [est[rows], ranks[rows]]
+    header += ["ma_estimate", "ma_rank", "ma_se"]
     columns += [averaged.estimates[rows], averaged.ranks[rows], averaged.std_errors[rows]]
     _emit_table(args, header, columns)
 
@@ -311,7 +300,7 @@ def _cmd_design(args: argparse.Namespace) -> None:
         "best_restart": result.restart,
         "passes": len(result.objective_trace) - 1,
         "objective_trace": list(result.objective_trace),
-        "design": [list(run.order) for run in result.design.runs],
+        "design": result.design.orders.tolist(),
     }
     print(to_json(report))
     if args.out:
@@ -321,18 +310,16 @@ def _cmd_design(args: argparse.Namespace) -> None:
 
 def _cmd_surface(args: argparse.Namespace) -> None:
     from .fitting import ols_fit
-    from .models import Family, ModelSpec, build_matrix, rs2_rows
-    from .perms import standardize
+    from .models import Family, ModelSpec, _positions, rs2_rows
     from .ranking import predict_rows
 
     _emit_config(args)
-    spec = ModelSpec(Family.RS2)
     data = _apply_block(_load_dataset(args.data), args.block)
     if data.m != 3:
         raise ValidationError(f"surface supports m = 3 only, got m = {data.m}")
     if not 2 <= args.grid <= MAX_GRID:
         raise ValidationError(f"--grid must be in 2..{MAX_GRID}, got {args.grid}")
-    fit = ols_fit(spec, data)
+    fit = ols_fit(ModelSpec(Family.RS2), data)
 
     m = data.m
     lo, hi = 2.0 / (m * (m + 1)), 2.0 * m / (m * (m + 1))
@@ -340,8 +327,8 @@ def _cmd_surface(args: argparse.Namespace) -> None:
     p1, p2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
     grid_p = np.column_stack([p1, p2, 1.0 - p1 - p2])
     eta, _ = predict_rows(fit, rs2_rows(grid_p))
-    design_p = np.array([standardize(run).p for run in data.design.runs])
-    eta_design, _ = predict_rows(fit, build_matrix(spec, data.design.runs).values)
+    design_p = _positions(data.design.orders) * (2.0 / (m * (m + 1)))
+    eta_design, _ = predict_rows(fit, rs2_rows(design_p))
 
     p = np.vstack([grid_p, design_p])
     kind = ["grid"] * len(eta) + ["design"] * len(eta_design)

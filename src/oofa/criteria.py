@@ -53,7 +53,7 @@ import numpy as np
 from . import models
 from .design import RANK_RTOL, Design, check_weights
 from .errors import EstimabilityError, ValidationError
-from .models import ModelSpec, build_matrix, full_factorial_matrix, moment_orders
+from .models import ModelSpec, full_factorial_matrix, moment_orders, order_matrix
 
 
 class CriterionKind(str, enum.Enum):
@@ -371,7 +371,7 @@ def member_rows(model: ModelSpec, criterion: CriterionSpec, m: int) -> MemberRow
 def criterion_value(model: ModelSpec, criterion: CriterionSpec, design: Design) -> float:
     """Evaluate one criterion for one model on a design, honoring the coding."""
     rows = member_rows(model, criterion, design.m)
-    x = rows.code(build_matrix(model, design.runs).values)
+    x = rows.code(order_matrix(model, design.orders).values)
     return _single_value(x, rows, f"model {model.label} on this {design.n}-run design")
 
 

@@ -91,56 +91,39 @@ def read_design(source) -> Design | Dataset:
         raise ParseError("empty design file")
     m, has_block, has_y, has_run = _parse_header(rows[0])
     width = has_run + m + has_block + has_y
-
-    ids: dict[str, int] = {}
-    orders: list[tuple[int, ...]] = []
-    blocks: list[str] = []
-    responses: list[float] = []
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != width:
-            raise ParseError(f"row {i}: expected {width} cells, got {len(row)}")
-        if has_run:
-            row = row[1:]  # run index column carries no information
-        seen: set[int] = set()
-        order = []
-        for cell in row[:m]:
-            label = cell.strip()
-            if label not in ids:
-                if len(ids) == m:
-                    raise ValidationError(
-                        f"row {i}: component {label!r} would be the "
-                        f"{m + 1}-th distinct label"
-                    )
-                ids[label] = len(ids) + 1
-            c = ids[label]
-            if c in seen:
-                raise ValidationError(f"row {i}: component {label!r} repeated")
-            seen.add(c)
-            order.append(c)
-        orders.append(tuple(order))
-        if has_block:
-            blocks.append(row[m].strip())
-        if has_y:
-            cell = row[-1].strip()
-            try:
-                responses.append(float(cell))
-            except ValueError:
-                raise ParseError(f"row {i}: response {cell!r} is not numeric") from None
-
-    labels = tuple(sorted(ids, key=ids.get))
-    design = Design.from_orders(orders, blocks if has_block else None, labels)
-    if has_y:
-        return Dataset(design, np.array(responses))
-    return design
+    body = rows[1:]
+    short = next((i for i, row in enumerate(body, start=1) if len(row) != width), 0)
+    if short:
+        raise ParseError(f"row {short}: expected {width} cells, got {len(body[short - 1])}")
+    # component ids by first appearance: a row is an order unless it repeats an
+    # id or holds one above m, a label too many
+    cells = [cell.strip() for row in body for cell in row[has_run:has_run + m]]
+    ids = {label: c for c, label in enumerate(dict.fromkeys(cells), start=1)}
+    orders = np.array([ids[label] for label in cells], dtype=np.intp).reshape(-1, m)
+    bad = np.flatnonzero((np.sort(orders, axis=1) != np.arange(1, m + 1)).any(axis=1))
+    if bad.size:  # name its first component that is a label too many or a repeat
+        row = orders[bad[0]].tolist()
+        c = next(c for j, c in enumerate(row) if c > m or c in row[:j])
+        what = f"would be the {m + 1}-th distinct label" if c > m else "repeated"
+        raise ValidationError(f"row {bad[0] + 1}: component {tuple(ids)[c - 1]!r} {what}")
+    blocks = [row[has_run + m].strip() for row in body] if has_block else None
+    design = Design(orders, blocks, tuple(ids))
+    if not has_y:
+        return design
+    responses = []
+    for i, row in enumerate(body, start=1):
+        try:
+            responses.append(float(row[-1]))
+        except ValueError:
+            raise ParseError(f"row {i}: response {row[-1].strip()!r} is not numeric") from None
+    return Dataset(design, np.array(responses))
 
 
 def write_design(target, obj: Design | Dataset, run_index: bool = False) -> None:
     """Write a Design or Dataset back out in the design-file format, through
     :func:`write_table`."""
     design = obj.design if isinstance(obj, Dataset) else obj
-    orders = np.array([run.order for run in design.runs], dtype=np.intp)
-    header = [f"pos_{k}" for k in range(1, design.m + 1)]
-    columns = [LabelColumn(design.component_labels, components - 1) for components in orders.T]
+    header, columns = position_columns(design.orders, design.component_labels)
     if run_index:
         header.insert(0, "run")
         columns.insert(0, np.arange(1, design.n + 1))
@@ -173,6 +156,13 @@ class LabelColumn:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         return np.asarray(self.labels, dtype=object)[self.codes[rows]]
+
+
+def position_columns(orders: np.ndarray, labels: Sequence) -> tuple[list[str], list]:
+    """The header ``pos_1..pos_m`` and a :class:`LabelColumn` per position of
+    the (n, m) component ``orders``: the label of the component there."""
+    return ([f"pos_{k}" for k in range(1, orders.shape[1] + 1)],
+            [LabelColumn(labels, components - 1) for components in orders.T])
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +368,7 @@ def fit_to_dict(fit: FitResult) -> dict:
         "log_lik": _json_number(fit.log_lik) if fit.log_lik is not None else None,
         "xtx_inv": [[float(v) for v in row] for row in fit.xtx_inv],
         "data": {
-            "orders": [list(run.order) for run in fit.data.design.runs],
+            "orders": fit.data.design.orders.tolist(),
             "block": list(fit.data.design.block) if fit.data.design.block else None,
             "labels": list(fit.data.design.component_labels),
             "y": [float(v) for v in fit.data.response],
@@ -387,13 +377,26 @@ def fit_to_dict(fit: FitResult) -> dict:
     return out
 
 
-def _json_field(value, kind: type, where: str):
+def _json_field(value, kind: type, where: str, items: tuple = ()):
     """``value``, or a ParseError naming ``where`` unless it is a ``kind``
-    (``dict`` for a JSON object, ``list`` for an array)."""
+    (``dict`` for a JSON object, ``list`` for an array) and, for ``items`` =
+    (name, types), an array of items of exactly those types."""
     if not isinstance(value, kind):
         noun = "an object" if kind is dict else "an array"
         raise ParseError(f"malformed fit JSON: {where} must be {noun}")
+    if items and not all(type(v) in items[1] for v in value):
+        raise ParseError(f"malformed fit JSON: {where} must be an array of {items[0]}")
     return value
+
+
+#: The items of each ``data`` array of a fit file, and whether it may be null.
+#: Each of the orders is an array of integers, which true, false and 1.0 are not.
+_DATA_FIELDS = {
+    "orders": ((), False),
+    "block": (("strings", (str,)), True),
+    "labels": (("strings", (str,)), False),
+    "y": (("numbers", (int, float)), False),
+}
 
 
 def fit_from_dict(payload: dict) -> FitResult:
@@ -415,13 +418,15 @@ def fit_from_dict(payload: dict) -> FitResult:
             label = f"{label}:{payload['taper']}"
         spec: ModelSpec = parse_model(label)
         data_part = _json_field(payload["data"], dict, "data")
-        orders = _json_field(data_part["orders"], list, "data.orders")
-        design = Design.from_orders(
-            [tuple(_json_field(o, list, f"data.orders[{i}]")) for i, o in enumerate(orders)],
-            data_part.get("block"),
-            data_part.get("labels"),
-        )
-        data = Dataset(design, np.array(data_part["y"], dtype=float))
+        fields = {
+            name: None if nullable and data_part.get(name) is None
+            else _json_field(data_part.get(name), list, f"data.{name}", items)
+            for name, (items, nullable) in _DATA_FIELDS.items()
+        }
+        orders = [_json_field(o, list, f"data.orders[{i}]", ("integers", (int,)))
+                  for i, o in enumerate(fields["orders"])]
+        design = Design(orders, fields["block"], fields["labels"])
+        data = Dataset(design, np.array(fields["y"], dtype=float))
         coeff_rows = [
             _json_field(row, dict, f"coefficients[{i}]")
             for i, row in enumerate(_json_field(payload["coefficients"], list, "coefficients"))
@@ -430,7 +435,7 @@ def fit_from_dict(payload: dict) -> FitResult:
         stored = np.array([row["estimate"] for row in coeff_rows], dtype=float)
     except ValidationError:  # a ValueError too, but already says what is wrong
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed fit JSON: missing or bad field {exc}") from None
     fit = ols_fit(spec, data)
     if len(labels) != len(fit.term_labels):

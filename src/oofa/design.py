@@ -1,10 +1,11 @@
-"""Designs and datasets: runs (permutations) with optional block labels and
-responses, plus the rank and weight tolerances every layer shares."""
+"""Designs and datasets: runs (an int8 order array) with optional block labels
+and responses, plus the rank and weight tolerances every layer shares."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,56 +18,50 @@ RANK_RTOL = 1e-10
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Design:
     """N runs over the same m components, with optional per-run block labels.
 
-    ``labels`` maps internal component ids back to external names
-    (``labels[c-1]`` is the name of component c); it defaults to "1".."m".
-    Blocks are nuisance batch markers: they are fitted (sum-to-zero coded)
-    but never enter design criteria.
+    ``orders`` is a read-only (N, m) ``int8`` array of components 1..m, run i
+    in row i, as :func:`~oofa.perms.order_array` holds them, built from any
+    (N, m) integers and checked; block labels and ``labels`` are kept as
+    strings.  ``labels[c-1]`` is the external name of component c ("1".."m"
+    by default).  Blocks are nuisance batch markers: they are fitted
+    (sum-to-zero coded) but never enter design criteria.  Designs compare by
+    identity (compare ``orders`` with ``np.array_equal``).
     """
 
-    runs: tuple[Permutation, ...]
+    orders: np.ndarray
     block: tuple[str, ...] | None = None
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.runs:
-            raise ValidationError("a design needs at least one run")
-        m = self.runs[0].m
-        for i, run in enumerate(self.runs):
-            if run.m != m:
-                raise ValidationError(
-                    f"run {i + 1} has {run.m} components, expected {m}"
-                )
-        if self.block is not None and len(self.block) != len(self.runs):
-            raise ValidationError(
-                f"{len(self.block)} block labels for {len(self.runs)} runs"
-            )
+        object.__setattr__(self, "orders", _checked_orders(self.orders))
+        for name in ("block", "labels"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(str, getattr(self, name))))
+        if self.block is not None and len(self.block) != self.n:
+            raise ValidationError(f"{len(self.block)} block labels for {self.n} runs")
         if self.labels is not None:
-            check_labels(self.labels, m, "component labels")
+            check_labels(self.labels, self.m, "component labels")
 
     @classmethod
-    def from_orders(
-        cls,
-        orders: Iterable[Sequence[int]],
-        block: Sequence[str] | None = None,
-        labels: Sequence[str] | None = None,
-    ) -> "Design":
-        return cls(
-            as_permutations(orders),
-            None if block is None else tuple(str(b) for b in block),
-            None if labels is None else tuple(str(x) for x in labels),
-        )
+    def from_orders(cls, orders, block=None, labels=None) -> "Design":
+        """The same as ``Design(orders, block, labels)``."""
+        return cls(orders, block, labels)
+
+    @property
+    def runs(self) -> tuple[Permutation, ...]:
+        """The runs as :class:`~oofa.perms.Permutation` objects, built on each access."""
+        return as_permutations(self.orders)
 
     @property
     def m(self) -> int:
-        return self.runs[0].m
+        return self.orders.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.runs)
+        return self.orders.shape[0]
 
     @property
     def component_labels(self) -> tuple[str, ...]:
@@ -77,13 +72,7 @@ class Design:
     @property
     def block_levels(self) -> tuple[str, ...]:
         """Distinct block labels in first-appearance order."""
-        if self.block is None:
-            return ()
-        seen: list[str] = []
-        for lab in self.block:
-            if lab not in seen:
-                seen.append(lab)
-        return tuple(seen)
+        return () if self.block is None else tuple(dict.fromkeys(self.block))
 
     def block_matrix(self) -> np.ndarray:
         """Sum-to-zero block coding, one column per non-reference level.
@@ -94,23 +83,18 @@ class Design:
         blocks.
         """
         levels = self.block_levels
-        n = self.n
         if len(levels) < 2:
-            return np.zeros((n, 0))
+            return np.zeros((self.n, 0))
         index = {lab: k for k, lab in enumerate(levels)}
-        out = np.zeros((n, len(levels) - 1))
-        for i, lab in enumerate(self.block):  # type: ignore[arg-type]
-            k = index[lab]
-            if k < len(levels) - 1:
-                out[i, k] = 1.0
-            else:
-                out[i, :] = -1.0
+        level = np.array([index[lab] for lab in self.block])  # type: ignore[union-attr]
+        out = (level[:, None] == np.arange(len(levels) - 1)).astype(float)
+        out[level == len(levels) - 1] = -1.0
         return out
 
     def without_block(self) -> "Design":
         if self.block is None:
             return self
-        return Design(self.runs, None, self.labels)
+        return Design(self.orders, None, self.labels)
 
 
 @dataclass(frozen=True)
@@ -140,6 +124,46 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.design.m
+
+
+def _checked_orders(orders) -> np.ndarray:
+    """``orders`` as a read-only (N, m) ``int8`` array, or a ValidationError
+    that names the first bad run.  One vectorized check: a row of integers
+    (not bools) sorts to 1..m exactly when it is an order of 1..m, so no
+    other value can be narrowed, or wrap, into a component."""
+    numeric = isinstance(orders, np.ndarray) and orders.dtype != object
+    rows = orders if numeric else list(map(tuple, orders))
+    if len(rows) == 0:
+        raise ValidationError("at least one run is required")
+    m = len(rows[0])
+    if not 1 <= m <= np.iinfo(np.int8).max:
+        raise ValidationError(f"a run needs 1 to 127 components, got {m}")
+    kinds = {rows.dtype.type} if numeric else set(map(type, itertools.chain(*rows)))
+    try:
+        values = np.asarray(rows) if all(map(_is_integer, kinds)) else None
+    except ValueError:  # ragged rows
+        values = None
+    if values is None or values.shape != (len(rows), m) or not (
+            np.sort(values, axis=1) == np.arange(1, m + 1)).all():
+        raise _first_bad_run(rows, m)
+    values = values.astype(np.int8)
+    values.setflags(write=False)
+    return values
+
+
+def _is_integer(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _first_bad_run(rows, m: int) -> ValidationError:
+    """The error naming the first run of ``rows`` that is not an order of 1..m."""
+    for i, row in enumerate(rows, start=1):
+        row = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
+        if len(row) != m:
+            return ValidationError(f"run {i} has {len(row)} components, expected {m}")
+        if not all(map(_is_integer, map(type, row))) or sorted(row) != list(range(1, m + 1)):
+            return ValidationError(f"order {row!r} is not a permutation of 1..{m}")
+    raise AssertionError("every run is an order of 1..m")
 
 
 def check_labels(labels: Sequence[str], m: int, what: str) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .design import RANK_RTOL, Dataset
 from .errors import EstimabilityError, SaturatedModelError, ValidationError
-from .models import DesignMatrix, ModelSpec, build_matrix
+from .models import DesignMatrix, ModelSpec, order_matrix
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def assemble_matrix(
     spec: ModelSpec, data: Dataset
 ) -> tuple[np.ndarray, tuple[str, ...], int]:
     """Model columns plus sum-to-zero block columns; returns the block count."""
-    built: DesignMatrix = build_matrix(spec, data.design.runs)
+    built: DesignMatrix = order_matrix(spec, data.design.orders)
     blocks = data.design.block_matrix()
     if blocks.shape[1] == 0:
         return built.values, built.term_labels, 0

@@ -62,8 +62,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .design import Design
 from .errors import EstimabilityError, UnsupportedModelError, ValidationError
-from .perms import Permutation, as_permutations, order_array
+from .perms import Permutation, order_array
 
 #: Orders per block when the m! orders are walked (:func:`position_blocks`).
 BLOCK_ROWS = 4096
@@ -361,21 +362,18 @@ def _rows_from_groups(spec: ModelSpec, v: np.ndarray, z: np.ndarray | None = Non
     return out
 
 
-def build_matrix(spec: ModelSpec, runs: Sequence[Permutation]) -> DesignMatrix:
-    """Build the model matrix for the given runs, one row per run."""
-    runs = as_permutations(runs)
-    m = runs[0].m
-    for i, run in enumerate(runs):
-        if run.m != m:
-            raise ValidationError(f"run {i + 1} has {run.m} components, expected {m}")
-    orders = np.array([run.order for run in runs], dtype=np.intp)
-    return _matrix_from_positions(spec, _positions(orders))
+def build_matrix(spec: ModelSpec, runs: Sequence[Permutation | Sequence[int]]) -> DesignMatrix:
+    """The model matrix of the given runs, one row per run: an adaptor for
+    :class:`~oofa.perms.Permutation` objects or plain orders, which are checked
+    and converted once to the order array a :class:`~oofa.design.Design` holds."""
+    return order_matrix(spec, Design([getattr(run, "order", run) for run in runs]).orders)
 
 
-def _matrix_from_positions(spec: ModelSpec, q: np.ndarray) -> DesignMatrix:
-    """The model matrix of the runs whose positions q_c are the rows of ``q``."""
-    values = model_rows(spec, q)
-    return DesignMatrix(values, term_labels(spec, q.shape[1]), q.shape[1], spec)
+def order_matrix(spec: ModelSpec, orders: np.ndarray) -> DesignMatrix:
+    """The model matrix of the (n, m) component ``orders``, such as
+    ``Design.orders``: :func:`model_rows` at their positions."""
+    m = orders.shape[1]
+    return DesignMatrix(model_rows(spec, _positions(orders)), term_labels(spec, m), m, spec)
 
 
 def position_blocks(m: int) -> Iterator[tuple[slice, np.ndarray]]:
@@ -507,7 +505,7 @@ def full_factorial_matrix(spec: ModelSpec, m: int) -> DesignMatrix:
 
     Cached per (spec, m): safe because the result is immutable.
     """
-    return _matrix_from_positions(spec, _positions(order_array(m)))
+    return order_matrix(spec, order_array(m))
 
 
 def pwo_to_ltpwo_maps(m: int) -> tuple[np.ndarray, np.ndarray]:

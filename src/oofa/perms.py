@@ -23,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +35,8 @@ MAX_COMPONENTS = 8
 
 @dataclass(frozen=True)
 class Permutation:
-    """One ordering of the components 1..m.
+    """One ordering of the components 1..m, an adaptor type: the package holds
+    orders as int8 arrays (:func:`order_array`, ``Design.orders``).
 
     ``order[j]`` is the component applied at position j+1; it must be a
     bijection on {1, ..., m}.
@@ -59,24 +59,12 @@ class Permutation:
     def m(self) -> int:
         return len(self.order)
 
-    def position_of(self, c: int) -> int:
-        """1-based position of component c."""
-        try:
-            return self.order.index(c) + 1
-        except ValueError:
-            raise ValidationError(
-                f"component {c} is not part of this {self.m}-component run"
-            ) from None
-
     def positions(self) -> tuple[int, ...]:
         """Positions q_c indexed by component: element c-1 is q_c."""
         q = [0] * self.m
         for pos, comp in enumerate(self.order, start=1):
             q[comp - 1] = pos
         return tuple(q)
-
-    def reverse(self) -> "Permutation":
-        return Permutation(self.order[::-1])
 
     def label(self, labels: tuple[str, ...] | None = None) -> str:
         """Space-separated external labels, e.g. ``"B C A"``."""
@@ -165,9 +153,6 @@ def standardize(perm: Permutation) -> StdPositions:
     return StdPositions(tuple(q * scale for q in perm.positions()))
 
 
-def as_permutations(runs: Iterable) -> tuple[Permutation, ...]:
-    """Coerce an iterable of orderings (tuples or Permutations) to runs."""
-    out = tuple(r if isinstance(r, Permutation) else Permutation(tuple(r)) for r in runs)
-    if not out:
-        raise ValidationError("at least one run is required")
-    return out
+def as_permutations(orders: np.ndarray) -> tuple[Permutation, ...]:
+    """The rows of an (n, m) order array as :class:`Permutation` objects."""
+    return tuple(map(Permutation, orders.tolist()))

@@ -45,16 +45,13 @@ class PredictionTable:
     @property
     def perms(self) -> tuple[Permutation, ...]:
         """The row orders as :class:`Permutation` objects (built on each access)."""
-        return as_permutations(self.orders.tolist())
+        return as_permutations(self.orders)
 
     def take(self, rows) -> "PredictionTable":
         """The table of the given rows, in the given order."""
         return PredictionTable(
             self.orders[rows], self.estimates[rows], self.std_errors[rows], self.ranks[rows]
         )
-
-    def sorted_by_rank(self) -> "PredictionTable":
-        return self.take(np.argsort(self.ranks))
 
 
 def rank_descending(estimates: np.ndarray) -> np.ndarray:

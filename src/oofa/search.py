@@ -222,7 +222,7 @@ def random_design(m: int, n_runs: int, seed: int | np.random.Generator) -> Desig
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     pool = order_array(m)
     idx = rng.integers(0, len(pool), size=n_runs)
-    return Design.from_orders(pool[idx].tolist())
+    return Design(pool[idx])
 
 
 def _random_start(
@@ -317,6 +317,6 @@ def exchange_search(config: SearchConfig) -> SearchResult:
             f"{config.restarts} x {_START_ATTEMPTS} attempts; increase n_runs"
         )
     objective, restart, idx, trace = best
-    design = Design.from_orders(pool[idx].tolist())
+    design = Design(pool[idx])
     member_values = tuple(float(values[0]) for values, _ in evaluator.member_values(idx[None]))
     return SearchResult(design, objective, member_values, trace, restart, config)

@@ -14,7 +14,7 @@ import pytest
 
 import oofa
 from oofa import Design, enumerate_permutations, parse_model, read_design, write_design
-from oofa.cli import MAX_GRID, main
+from oofa.cli import MAX_GRID, build_parser, main
 from oofa.dataio import fit_from_dict, fit_to_dict, to_json
 from oofa.search import MAX_RUNS
 
@@ -299,14 +299,34 @@ def test_predict_all_orders_match_fixture(capsys, pwo_fit_json, oracle_fixtures)
     assert [int(row[3]) for row in rows] == pred["ranks"]
 
 
-def test_predict_and_average_build_no_permutation_objects(capsys, m3_csv, pwo_fit_json):
+def test_no_command_builds_permutation_objects(capsys, monkeypatch, m3_csv, m4_csv,
+                                               pwo_fit_json, tmp_path):
+    """Every command works on order arrays: Permutation is an adaptor type."""
+    built = []
+    original = oofa.Permutation.__post_init__
+    monkeypatch.setattr(oofa.Permutation, "__post_init__",
+                        lambda self: built.append(self) or original(self))
+    assert oofa.Permutation((2, 1)) and len(built) == 1  # the count sees a construction
     before = enumerate_permutations.cache_info()
-    for argv in (
-        ["predict", "--fit", pwo_fit_json, "--top", "2"],
-        ["average", "--data", m3_csv, "--models", "pwo,rs2,nn", "--format", "json"],
-    ):
+    commands = {
+        "enumerate": ["enumerate", "--m", "4", "--labels", "a,b,c,d"],
+        "matrix": ["matrix", "--model", "cp", "--design", m4_csv],
+        "fit": ["fit", "--model", "rs2", "--data", m4_csv, "--block",
+                "--out", str(tmp_path / "fit.json")],
+        "predict": ["predict", "--fit", pwo_fit_json, "--top", "2"],
+        "average": ["average", "--data", m3_csv, "--models", "pwo,rs2,nn", "--format", "json"],
+        "criteria": ["criteria", "--design", m4_csv, "--models", "pwo,cp", "--criterion", "apv",
+                     "--orth"],
+        "surface": ["surface", "--data", m3_csv, "--grid", "3"],
+        "design": ["design", "--m", "4", "--runs", "12", "--models", "pwo", "--restarts", "1",
+                   "--max-passes", "1", "--out", str(tmp_path / "d4.csv")],
+    }
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert set(commands) == set(sub.choices)
+    for name, argv in commands.items():
         rc, _, _ = run_cli(capsys, *argv)
-        assert rc == 0, argv
+        assert rc == 0, name
+        assert len(built) == 1, name
     assert enumerate_permutations.cache_info() == before
 
 
@@ -410,6 +430,51 @@ def assert_validation_error(rc, err, message):
     assert rc == 2
     lines = [line for line in err.splitlines() if not line.startswith("# config:")]
     assert lines == [f"oofa: error: ValidationError: {message}"], err
+
+
+def _first_component_replaced(value):
+    def edit(payload):
+        order = payload["data"]["orders"][0]
+        order[order.index(1)] = value
+    return edit
+
+
+#: Fit files whose fields hold values of the wrong JSON type, and the end of
+#: the one error line each must give.
+BAD_DATA_TYPES = {
+    "labels-string": (lambda d: d["data"].update(labels="ABC"),
+                      "data.labels must be an array"),
+    "labels-numbers": (lambda d: d["data"].update(labels=[1, 2, 3]),
+                       "data.labels must be an array of strings"),
+    "block-string": (lambda d: d["data"].update(block="xxxxxx"), "data.block must be an array"),
+    "block-long-string": (lambda d: d["data"].update(block="x" * 60),
+                          "data.block must be an array"),
+    "block-numbers": (lambda d: d["data"].update(block=[1, 1, 1, 2, 2, 2]),
+                      "data.block must be an array of strings"),
+    "order-true": (_first_component_replaced(True), "data.orders[0] must be an array of integers"),
+    "order-float": (_first_component_replaced(1.0),
+                    "data.orders[0] must be an array of integers"),
+    "order-string": (_first_component_replaced("1"),
+                     "data.orders[0] must be an array of integers"),
+    "y-bool": (lambda d: d["data"]["y"].__setitem__(0, True), "data.y must be an array of numbers"),
+    "y-string": (lambda d: d["data"]["y"].__setitem__(2, "1.5"),
+                 "data.y must be an array of numbers"),
+    "y-object": (lambda d: d["data"].update(y={"a": 1}), "data.y must be an array"),
+    # a JSON integer beyond the float range
+    "y-huge": (lambda d: d["data"]["y"].__setitem__(0, 10**400),
+               "missing or bad field int too large to convert to float"),
+    "estimate-huge": (lambda d: d["coefficients"][0].update(estimate=10**400),
+                      "missing or bad field int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DATA_TYPES)
+def test_predict_refuses_fit_fields_of_the_wrong_type(capsys, pwo_fit_json, tmp_path, case):
+    edit, message = BAD_DATA_TYPES[case]
+    rc, out, err = run_cli(capsys, "predict", "--fit", _tampered_fit(pwo_fit_json, tmp_path, edit))
+    assert_parse_error(rc, err)
+    assert err.endswith(f"oofa: error: ParseError: malformed fit JSON: {message}\n")
+    assert out == ""
 
 
 @pytest.mark.parametrize("labels", [["A", "A", "B"], ["A", "", "B"], ["A", "B"]])

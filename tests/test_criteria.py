@@ -23,7 +23,6 @@ from oofa import (
     compound,
     criterion_value,
     d_criterion,
-    enumerate_permutations,
     full_factorial_matrix,
     models,
     orthogonal_coding,
@@ -47,7 +46,7 @@ TABLE_APV_M4 = {"pwo": 0.52174, "tpwo:invh": 0.52174, "cp": 0.78261,
 
 
 def _full_factorial(m):
-    return Design(enumerate_permutations(m))
+    return Design(order_array(m))
 
 
 def _estimable_design(label, m, n, seed):
@@ -213,8 +212,7 @@ def test_block_columns_never_enter_criteria(m4_dataset):
 
 
 def test_rank_deficient_design_raises():
-    runs = enumerate_permutations(3)[:2] * 3
-    design = Design(runs)
+    design = Design(np.tile(order_array(3)[:2], (3, 1)))
     with pytest.raises(EstimabilityError, match="pwo"):
         apv(parse_model("pwo"), design)
     with pytest.raises(EstimabilityError):
@@ -223,7 +221,7 @@ def test_rank_deficient_design_raises():
 
 def test_duplicating_runs_halves_a_doubles_d():
     design = _estimable_design("pwo", 3, 8, 21)
-    doubled = dataclasses.replace(design, runs=design.runs + design.runs)
+    doubled = dataclasses.replace(design, orders=np.vstack([design.orders, design.orders]))
     spec = parse_model("pwo")
     assert a_criterion(spec, doubled) == pytest.approx(
         a_criterion(spec, design) / 2.0, rel=1e-12
@@ -320,8 +318,8 @@ def test_coded_apv_equals_plain_apv():
 def test_information_monotonicity():
     spec = parse_model("pwo")
     design = _estimable_design("pwo", 3, 8, 41)
-    extra = enumerate_permutations(3)[2]
-    grown = dataclasses.replace(design, runs=design.runs + (extra,))
+    extra = order_array(3)[2]
+    grown = dataclasses.replace(design, orders=np.vstack([design.orders, extra]))
     assert apv(spec, grown) <= apv(spec, design) + 1e-12
     assert av(spec, grown) <= av(spec, design) + 1e-12
     assert a_criterion(spec, grown) <= a_criterion(spec, design) + 1e-12
@@ -361,8 +359,8 @@ def test_compound_d_uses_reciprocal():
 
 def test_compound_names_inestimable_member():
     # five distinct runs plus one duplicate: fine for pwo (p=4), singular for nn
-    perms = enumerate_permutations(3)
-    design = Design(perms[:5] + (perms[0],))
+    orders = order_array(3)
+    design = Design(orders[[0, 1, 2, 3, 4, 0]])
     assert np.linalg.matrix_rank(build_matrix(parse_model("pwo"), design.runs).values) == 4
     members = CompoundSpec.equal_weights(
         [parse_model("pwo"), parse_model("nn")], CriterionSpec(CriterionKind.APV)

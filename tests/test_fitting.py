@@ -93,7 +93,7 @@ def test_rank_deficient_names_dependent_columns():
     # three distinct runs repeated twice: n = 6 >= p = 5 but rank is 3
     design = random_design(3, 3, seed=5)
     doubled = Dataset(
-        dataclasses.replace(design, runs=design.runs + design.runs),
+        dataclasses.replace(design, orders=np.vstack([design.orders, design.orders])),
         np.arange(6.0),
     )
     with pytest.raises(EstimabilityError) as err:
@@ -105,7 +105,7 @@ def test_rank_deficient_names_dependent_columns():
 
 def test_underdetermined_raises(m3_dataset):
     small = Dataset(
-        dataclasses.replace(m3_dataset.design, runs=m3_dataset.design.runs[:3]),
+        dataclasses.replace(m3_dataset.design, orders=m3_dataset.design.orders[:3]),
         m3_dataset.response[:3],
     )
     with pytest.raises(EstimabilityError):

@@ -23,6 +23,7 @@ from oofa import (
 )
 from oofa import models
 from oofa.models import pwo_to_ltpwo_maps, taper_value
+from oofa.perms import order_array
 
 ALL_LABELS = ["pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear",
               "cp", "rs2", "rs3", "rs3s", "nn"]
@@ -239,12 +240,10 @@ def test_nn_rows_sum_to_m_minus_one():
 @given(st.integers(2, 6).flatmap(lambda m: st.permutations(list(range(1, m + 1)))))
 def test_pwo_mirror_antisymmetry(order):
     """Reversing a run flips the sign of every pairwise-order covariate."""
-    from oofa import Permutation
-
-    perm = Permutation(tuple(order))
+    orders = np.array([order])
     spec = parse_model("pwo")
-    row = build_matrix(spec, (perm,)).values[0]
-    mirrored = build_matrix(spec, (perm.reverse(),)).values[0]
+    row = build_matrix(spec, orders).values[0]
+    mirrored = build_matrix(spec, orders[:, ::-1]).values[0]
     assert row[0] == mirrored[0] == 1.0
     np.testing.assert_allclose(mirrored[1:], -row[1:])
 
@@ -270,15 +269,15 @@ def test_term_labels_are_descriptive():
 
 
 def test_cp_columns_are_position_indicators():
-    runs = _runs(3)
-    built = build_matrix(parse_model("cp"), runs)
+    orders = order_array(3)
+    built = build_matrix(parse_model("cp"), orders)
     # tau_c_j = 1 exactly when component c sits at position j
-    for i, run in enumerate(runs):
+    for i, order in enumerate(orders):
         for j, label in enumerate(built.term_labels):
             if label == "b0":
                 continue
             _, c, pos = label.split("_")
-            expected = 1.0 if run.position_of(int(c)) == int(pos) else 0.0
+            expected = 1.0 if order[int(pos) - 1] == int(c) else 0.0
             assert built.values[i, j] == expected
 
 

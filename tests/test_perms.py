@@ -78,17 +78,11 @@ def test_capacity_cap():
 
 def test_positions():
     perm = Permutation((2, 3, 1))
-    assert perm.position_of(1) == 3
-    assert perm.position_of(2) == 1
-    assert perm.position_of(3) == 2
     assert perm.positions() == (3, 1, 2)
-    with pytest.raises(ValidationError):
-        perm.position_of(4)
 
 
-def test_reverse_and_label():
+def test_label():
     perm = Permutation((2, 3, 1))
-    assert perm.reverse().order == (1, 3, 2)
     assert perm.label() == "2 3 1"
     assert perm.label(("A", "B", "C")) == "B C A"
 
@@ -101,9 +95,8 @@ def test_standardize_identity_permutation():
 @given(orders)
 def test_positions_roundtrip(order):
     perm = Permutation(tuple(order))
-    for c in range(1, perm.m + 1):
-        assert perm.order[perm.position_of(c) - 1] == c
-    assert perm.reverse().reverse() == perm
+    for c, q in enumerate(perm.positions(), start=1):
+        assert perm.order[q - 1] == c
 
 
 @given(orders)

@@ -22,6 +22,7 @@ from oofa import (
     parse_model,
 )
 from oofa import search
+from oofa.perms import order_array
 from oofa.search import (
     _chunk_rows,
     _Evaluator,
@@ -81,12 +82,12 @@ def test_evaluator_agrees_with_direct_compound():
     """Dual route: the batched screen must reproduce per-design evaluation."""
     objective = _objective("pwo", "rs2")
     evaluator = _Evaluator(objective, 4)
-    pool = enumerate_permutations(4)
+    pool = order_array(4)
     rng = np.random.default_rng(8)
     batch = rng.integers(0, len(pool), size=(40, 11))
     values = evaluator.evaluate(batch)
     for row, value in zip(batch, values):
-        design = Design(tuple(pool[i] for i in row))
+        design = Design(pool[row])
         try:
             expected = compound(objective, design)
         except Exception:
@@ -98,7 +99,7 @@ def test_evaluator_agrees_with_direct_compound():
 
 
 def test_evaluator_handles_all_criteria():
-    pool = enumerate_permutations(3)
+    pool = order_array(3)
     rng = np.random.default_rng(5)
     batch = rng.integers(0, len(pool), size=(25, 8))
     for kind in CriterionKind:
@@ -106,7 +107,7 @@ def test_evaluator_handles_all_criteria():
         evaluator = _Evaluator(objective, 3)
         values = evaluator.evaluate(batch)
         for row, value in zip(batch, values):
-            design = Design(tuple(pool[i] for i in row))
+            design = Design(pool[row])
             try:
                 expected = compound(objective, design)
             except Exception:
@@ -183,7 +184,7 @@ def test_search_beats_random_baseline_small():
             continue
     assert result.objective <= best_random + 1e-12
     # the full factorial is a feasible point, so the search can't do worse
-    full = Design(enumerate_permutations(3))
+    full = Design(order_array(3))
     assert result.objective <= apv(parse_model("pwo"), full) + 1e-12
 
 
@@ -349,7 +350,7 @@ def test_accepted_swaps_stay_estimable(monkeypatch):
     monkeypatch.setattr(search, "_SwapScorer", Recording)
     objective = _objective("nn")
     evaluator = _Evaluator(objective, 3)
-    pool = enumerate_permutations(3)
+    pool = order_array(3)
     passes = 0
     for seed in range(5):
         idx, current = _random_start(evaluator, 7, 6, np.random.default_rng(seed))
@@ -359,4 +360,4 @@ def test_accepted_swaps_stay_estimable(monkeypatch):
             current, improved = _exchange_pass(idx, current, evaluator, 6)
     assert len(designs) > passes  # one scorer per pass, one more per accepted swap
     for idx in designs:
-        assert np.isfinite(compound(objective, Design(tuple(pool[i] for i in idx))))
+        assert np.isfinite(compound(objective, Design(pool[idx])))
