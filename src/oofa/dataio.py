@@ -377,13 +377,17 @@ def fit_to_dict(fit: FitResult) -> dict:
     return out
 
 
+#: The name in an error message of each kind a fit field may be.
+_JSON_NOUNS = {dict: "an object", list: "an array", str: "a string", float: "a number"}
+
+
 def _json_field(value, kind: type, where: str, items: tuple = ()):
     """``value``, or a ParseError naming ``where`` unless it is a ``kind``
-    (``dict`` for a JSON object, ``list`` for an array) and, for ``items`` =
-    (name, types), an array of items of exactly those types."""
-    if not isinstance(value, kind):
-        noun = "an object" if kind is dict else "an array"
-        raise ParseError(f"malformed fit JSON: {where} must be {noun}")
+    (``dict`` for a JSON object, ``list`` for an array, ``str`` for a string,
+    ``float`` for a number, which an integer is and a bool is not) and, for
+    ``items`` = (name, types), an array of items of exactly those types."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ParseError(f"malformed fit JSON: {where} must be {_JSON_NOUNS[kind]}")
     if items and not all(type(v) in items[1] for v in value):
         raise ParseError(f"malformed fit JSON: {where} must be an array of {items[0]}")
     return value
@@ -413,9 +417,10 @@ def fit_from_dict(payload: dict) -> FitResult:
     if not isinstance(payload, dict):
         raise ParseError("fit JSON must be an object")
     try:
-        label = payload["model"]
-        if payload.get("taper"):
-            label = f"{label}:{payload['taper']}"
+        label = _json_field(payload["model"], str, "model")
+        taper = payload.get("taper")
+        if taper is not None and _json_field(taper, str, "taper"):
+            label = f"{label}:{taper}"
         spec: ModelSpec = parse_model(label)
         data_part = _json_field(payload["data"], dict, "data")
         fields = {
@@ -431,8 +436,10 @@ def fit_from_dict(payload: dict) -> FitResult:
             _json_field(row, dict, f"coefficients[{i}]")
             for i, row in enumerate(_json_field(payload["coefficients"], list, "coefficients"))
         ]
-        labels = tuple(row["term"] for row in coeff_rows)
-        stored = np.array([row["estimate"] for row in coeff_rows], dtype=float)
+        labels = tuple(_json_field(row["term"], str, f"coefficients[{i}].term")
+                       for i, row in enumerate(coeff_rows))
+        stored = np.array([_json_field(row["estimate"], float, f"coefficients[{i}].estimate")
+                           for i, row in enumerate(coeff_rows)], dtype=float)
     except ValidationError:  # a ValueError too, but already says what is wrong
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

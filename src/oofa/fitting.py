@@ -86,6 +86,25 @@ def assemble_matrix(
     return np.hstack([built.values, blocks]), labels, blocks.shape[1]
 
 
+def _dependent_columns(null_basis: np.ndarray) -> list[int]:
+    """Indices of columns that, once dropped, leave a full-rank matrix.
+
+    ``null_basis`` holds a basis of the matrix's null space as rows.
+    Gauss-Jordan elimination pivots each row on its largest remaining entry;
+    the basis restricted to the pivot columns is then the identity, so no
+    null vector lives on the other columns alone, and they have full rank.
+    """
+    basis = null_basis.copy()
+    pivots = []
+    for i, row in enumerate(basis):
+        j = int(np.argmax(np.abs(row)))
+        row /= row[j]
+        others = np.arange(len(basis)) != i
+        basis[others] -= np.outer(basis[others, j], row)
+        pivots.append(j)
+    return sorted(pivots)
+
+
 def ols_fit(spec: ModelSpec, data: Dataset) -> FitResult:
     """Least-squares fit of one model family to a dataset.
 
@@ -100,12 +119,9 @@ def ols_fit(spec: ModelSpec, data: Dataset) -> FitResult:
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     rank = int(np.sum(s > RANK_RTOL * s[0]))
     if rank < p:
-        # scipy only names the dependent columns; importing it costs more
-        # than most requests, so it stays off the common path
-        import scipy.linalg
-
-        _, _, pivots = scipy.linalg.qr(x, mode="economic", pivoting=True)
-        dependent = tuple(labels[j] for j in sorted(pivots[rank:]))
+        if len(vt) < p:  # n < p: the thin SVD holds only n rows of V^T
+            vt = np.linalg.svd(x)[2]
+        dependent = tuple(labels[j] for j in _dependent_columns(vt[rank:]))
         raise EstimabilityError(
             f"model {spec.label} is not estimable on this design "
             f"(rank {rank} < {p} columns); dependent columns: "

@@ -165,13 +165,13 @@ class _MemberSweep:
         if rows.criterion.kind is CriterionKind.D_OPT:
             self.logdet = 2.0 * float(np.sum(np.log(s)))
             return
-        if rows.moment is None:  # A: (sigma^2 / p) tr[M^-1]
-            g, self.scale = np.diag(s**-2.0), rows.scale / p
+        if rows.moment is None:  # A: (sigma^2 / p) tr[M^-1], with G = S^-2 diagonal
+            g, self.scale = s**-2.0, rows.scale / p
+            self.q, self.trace = self.z * g, float(np.sum(g))
         else:  # G = S^-1 V^T C V S^-1, so B = M^-1 C M^-1 acts as z^T G z
             g, self.scale = (vt / s[:, None]) @ rows.moment @ (vt.T / s), rows.scale
-        self.q = self.z @ g
+            self.q, self.trace = self.z @ g, float(np.trace(g))  # tr[M^-1 C]
         self.b = np.einsum("ij,ij->i", self.q, self.z)
-        self.trace = float(np.trace(g))  # tr[M^-1 C]
 
     def values(self, out: int) -> tuple[np.ndarray, np.ndarray]:
         """(member value, determinant ratio delta) of every candidate swapped

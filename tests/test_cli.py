@@ -477,6 +477,68 @@ def test_predict_refuses_fit_fields_of_the_wrong_type(capsys, pwo_fit_json, tmp_
     assert out == ""
 
 
+#: One value of each JSON type.
+JSON_VALUES = {"string": "x", "number": 1.5, "bool": True, "null": None, "array": [],
+               "object": {}}
+
+#: Each field of a blocked tpwo fit file: its path of keys and indices, the
+#: JSON types it may hold, and the field the error line names (for an item of
+#: an array, the array).  An item of an order may hold no type of
+#: ``JSON_VALUES``: 1.5 is a number, not an integer.
+FIT_FIELDS = {
+    "model": (("model",), {"string"}, "model"),
+    "taper": (("taper",), {"string", "null"}, "taper"),
+    "coefficients": (("coefficients",), {"array"}, "coefficients"),
+    "coefficients[0]": (("coefficients", 0), {"object"}, "coefficients[0]"),
+    "coefficients[0].term": (("coefficients", 0, "term"), {"string"}, "coefficients[0].term"),
+    "coefficients[0].estimate": (("coefficients", 0, "estimate"), {"number"},
+                                 "coefficients[0].estimate"),
+    "data": (("data",), {"object"}, "data"),
+    "data.orders": (("data", "orders"), {"array"}, "data.orders"),
+    "data.orders[0]": (("data", "orders", 0), {"array"}, "data.orders[0]"),
+    "data.orders[0][0]": (("data", "orders", 0, 0), set(), "data.orders[0]"),
+    "data.block": (("data", "block"), {"array", "null"}, "data.block"),
+    "data.block[0]": (("data", "block", 0), {"string"}, "data.block"),
+    "data.labels": (("data", "labels"), {"array"}, "data.labels"),
+    "data.labels[0]": (("data", "labels", 0), {"string"}, "data.labels"),
+    "data.y": (("data", "y"), {"array"}, "data.y"),
+    "data.y[0]": (("data", "y", 0), {"number"}, "data.y"),
+}
+
+
+@pytest.fixture
+def blocked_tpwo_fit_json(capsys, m4_csv, tmp_path):
+    path = tmp_path / "tpwo_block_fit.json"
+    rc, _, _ = run_cli(capsys, "fit", "--model", "tpwo:invh", "--data", m4_csv, "--block",
+                       "--out", str(path))
+    assert rc == 0
+    rc, _, _ = run_cli(capsys, "predict", "--fit", str(path), "--top", "1")
+    assert rc == 0
+    return str(path)
+
+
+def _field_set(path, value):
+    def edit(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("field,kind", [(field, kind) for field, (_, ok, _) in FIT_FIELDS.items()
+                                        for kind in JSON_VALUES if kind not in ok])
+def test_predict_names_each_fit_field_of_a_wrong_json_type(capsys, blocked_tpwo_fit_json,
+                                                           tmp_path, field, kind):
+    path, _, name = FIT_FIELDS[field]
+    tampered = _tampered_fit(blocked_tpwo_fit_json, tmp_path,
+                             _field_set(path, JSON_VALUES[kind]))
+    rc, out, err = run_cli(capsys, "predict", "--fit", tampered)
+    assert_parse_error(rc, err)
+    assert f"oofa: error: ParseError: malformed fit JSON: {name} must be " in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("labels", [["A", "A", "B"], ["A", "", "B"], ["A", "B"]])
 def test_predict_refuses_fit_labels_that_are_not_distinct_names(capsys, pwo_fit_json, tmp_path,
                                                                  labels):
@@ -623,12 +685,25 @@ def test_design_file_may_start_with_a_utf8_bom(capsys, m3_csv, tmp_path):
     assert out == expected
 
 
-def test_importing_the_cli_does_not_load_scipy():
+def test_rank_deficient_fit_names_its_dependent_columns_without_scipy(tmp_path):
+    """Two distinct orders, twice each: pwo at m = 3 has rank 2 of 4 columns."""
+    path = tmp_path / "two_orders.csv"
+    path.write_text("pos_1,pos_2,pos_3,y\nA,B,C,1\nB,A,C,2\nA,B,C,3\nB,A,C,5\n",
+                    encoding="utf-8")
     src = os.path.dirname(os.path.dirname(oofa.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import oofa.cli, sys; assert 'scipy' not in sys.modules"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from oofa.cli import main; sys.exit(main())")
+    done = subprocess.run([sys.executable, "-c", code, "fit", "--model", "pwo", "--data", str(path)],
+                          env=env, capture_output=True, text=True)
+    lines = [line for line in done.stderr.splitlines() if not line.startswith("# config:")]
+    head = ("oofa: error: EstimabilityError: model pwo is not estimable on this design "
+            "(rank 2 < 4 columns); dependent columns: ")
+    assert done.returncode == 1 and len(lines) == 1 and lines[0].startswith(head), done.stderr
+    named = lines[0][len(head):].split(", ")
+    assert len(set(named)) == len(named) == 2
+    # b0, x_1_3 and x_2_3 are one column of ones; x_1_2 is independent of it
+    assert set(named) <= {"b0", "x_1_3", "x_2_3"}
 
 
 # -- criteria ----------------------------------------------------------------

@@ -11,15 +11,20 @@ from hypothesis import strategies as st
 import _oracle as oracle
 from oofa import (
     Dataset,
+    Design,
     EstimabilityError,
     SaturatedModelError,
     ValidationError,
     akaike_weights,
     build_matrix,
+    full_factorial_matrix,
     information_criteria,
     ols_fit,
     parse_model,
 )
+from oofa.design import RANK_RTOL
+from oofa.fitting import assemble_matrix
+from oofa.perms import order_array
 from oofa.search import random_design
 
 FIVE = ["pwo", "tpwo:invh", "cp", "rs2", "nn"]
@@ -101,6 +106,48 @@ def test_rank_deficient_names_dependent_columns():
     assert err.value.dependent_columns
     assert all(lab.startswith("tau_") or lab == "b0"
                for lab in err.value.dependent_columns)
+
+
+def _rank_deficient_dataset(label, m, shape, rng):
+    """Random data on fewer distinct orders than ``label`` has columns at
+    ``m``: each once (n < p), repeated, or repeated and split into blocks."""
+    pool = order_array(m)
+    p = full_factorial_matrix(parse_model(label), m).p
+    distinct = pool[rng.choice(len(pool), size=int(rng.integers(2, min(p, len(pool)))),
+                               replace=False)]
+    orders, block = distinct, None
+    if shape != "n<p":
+        orders = np.vstack([distinct, distinct[rng.integers(0, len(distinct), size=p)]])
+    if shape == "blocks":
+        block = [f"b{i % 3}" for i in rng.permutation(len(orders))]
+    return Dataset(Design(orders, block), rng.normal(size=len(orders)))
+
+
+def _rank(x):
+    s = np.linalg.svd(x, compute_uv=False)
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+@pytest.mark.parametrize("label", ["pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear", "cp",
+                                   "rs2", "rs3", "rs3s", "nn"])
+def test_dependent_columns_leave_a_full_rank_matrix(label):
+    """On 24 rank-deficient fits per family (m = 3..6, two of each shape),
+    the named columns are p - rank distinct terms and the others have full rank."""
+    rng = np.random.default_rng(sum(map(ord, label)))
+    spec = parse_model(label)
+    for m in (3, 4, 5, 6):
+        for shape in ("n<p", "repeats", "blocks") * 2:
+            data = _rank_deficient_dataset(label, m, shape, rng)
+            x, labels, _ = assemble_matrix(spec, data)
+            rank = _rank(x)
+            with pytest.raises(EstimabilityError) as err:
+                ols_fit(spec, data)
+            named = err.value.dependent_columns
+            assert len(set(named)) == len(named) == x.shape[1] - rank, (m, shape)
+            assert set(named) <= set(labels)
+            assert str(err.value).endswith("dependent columns: " + ", ".join(named))
+            kept = [j for j, term in enumerate(labels) if term not in named]
+            assert _rank(x[:, kept]) == rank, (m, shape)
 
 
 def test_underdetermined_raises(m3_dataset):
