@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -431,20 +431,46 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except ValidationError as exc:
-        print(f"oofa: error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
-        return 2
+        return _report(exc, 2)
     except (OofaError, np.linalg.LinAlgError) as exc:
-        print(f"oofa: error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
-        return 1
+        return _report(exc, 1)
     except OSError as exc:
-        print(f"oofa: error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
-        return 2
+        return _report(exc, 2)
     return 0
 
 
-def _one_line(exc: BaseException) -> str:
-    return " ".join(str(exc).split())
+def _report(exc: BaseException, code: int) -> int:
+    """Print ``exc`` as the request's one ``oofa: error:`` line; return ``code``."""
+    message = " ".join(str(exc).split())
+    print(f"oofa: error: {type(exc).__name__}: {message}", file=sys.stderr)
+    return code
+
+
+def run(argv=None) -> NoReturn:
+    """Run ``main`` as the whole process, then end it with ``os._exit``: no teardown.
+
+    Safe because every file a command writes is closed before ``main``
+    returns (by the owners of ``dataio._open_target`` streams, and the
+    ``with open(...)`` blocks of ``fit`` and ``design``); stdout and stderr
+    are flushed here.  Under a profiler or tracer, or when ``main`` raises,
+    the interpreter exits normally.
+    """
+    monitoring = getattr(sys, "monitoring", None)  # cProfile and coverage from 3.12
+    if (sys.getprofile() or sys.gettrace()
+            or monitoring and any(monitoring.get_tool(i) for i in range(6))):
+        sys.exit(main(argv))
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # the reader has gone
+        if code == 0:  # a failed request has reported its own error
+            code = _report(exc, 2)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report to
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -86,6 +86,10 @@ def assemble_matrix(
     return np.hstack([built.values, blocks]), labels, blocks.shape[1]
 
 
+#: Relative gap below which two pivot candidates in ``_dependent_columns`` tie.
+PIVOT_RTOL = 1e-9
+
+
 def _dependent_columns(null_basis: np.ndarray) -> list[int]:
     """Indices of columns that, once dropped, leave a full-rank matrix.
 
@@ -93,11 +97,15 @@ def _dependent_columns(null_basis: np.ndarray) -> list[int]:
     Gauss-Jordan elimination pivots each row on its largest remaining entry;
     the basis restricted to the pivot columns is then the identity, so no
     null vector lives on the other columns alone, and they have full rank.
+    Entries within ``PIVOT_RTOL`` of the largest count as equal, and the last
+    of them is taken: rounding noise then cannot pick an early column, such
+    as the intercept, over later ones that are the same column.
     """
     basis = null_basis.copy()
     pivots = []
     for i, row in enumerate(basis):
-        j = int(np.argmax(np.abs(row)))
+        size = np.abs(row)
+        j = int(np.flatnonzero(size >= (1.0 - PIVOT_RTOL) * size.max())[-1])
         row /= row[j]
         others = np.arange(len(basis)) != i
         basis[others] -= np.outer(basis[others, j], row)

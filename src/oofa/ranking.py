@@ -57,7 +57,7 @@ class PredictionTable:
 def rank_descending(estimates: np.ndarray) -> np.ndarray:
     """Rank 1 = largest; ties keep the earlier (lexicographic) row first."""
     est = np.asarray(estimates, dtype=float)
-    order = np.lexsort((np.arange(len(est)), -est))
+    order = np.argsort(-est, kind="stable")
     ranks = np.empty(len(est), dtype=int)
     ranks[order] = np.arange(1, len(est) + 1)
     return ranks

@@ -108,6 +108,17 @@ def test_rank_deficient_names_dependent_columns():
                for lab in err.value.dependent_columns)
 
 
+def test_dependent_columns_keep_the_intercept():
+    """A,B,C and B,A,C twice each: b0, x_1_3 and x_2_3 are one column of ones,
+    and the later two are named, not the intercept."""
+    orders = np.array([[1, 2, 3], [2, 1, 3]] * 2, dtype=np.int8)
+    data = Dataset(Design(orders, None), np.array([1.0, 2.0, 3.0, 5.0]))
+    with pytest.raises(EstimabilityError) as err:
+        ols_fit(parse_model("pwo"), data)
+    assert err.value.dependent_columns == ("x_1_3", "x_2_3")
+    assert str(err.value).endswith("(rank 2 < 4 columns); dependent columns: x_1_3, x_2_3")
+
+
 def _rank_deficient_dataset(label, m, shape, rng):
     """Random data on fewer distinct orders than ``label`` has columns at
     ``m``: each once (n < p), repeated, or repeated and split into blocks."""

@@ -1,11 +1,13 @@
-"""What each request imports: the lazy ``oofa`` namespace and the modules
-every CLI command loads."""
+"""What each request imports and how it starts and ends: the lazy ``oofa``
+namespace, the modules every CLI command loads, and the ``python -m oofa``
+process, which ends through ``cli.run``."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +44,8 @@ COMMANDS = {
                   "--criterion", "apv"], BASE | {"criteria"}),
     "design": (["design", "--m", "4", "--runs", "12", "--models", "pwo", "--restarts", "1",
                 "--max-passes", "1", "--out", "{tmp}/d4.csv"], BASE | {"criteria", "search"}),
-    "fit": (["fit", "--model", "pwo", "--data", "{data}/m3_runs.csv"], FIT),
+    "fit": (["fit", "--model", "pwo", "--data", "{data}/m3_runs.csv", "--out", "{tmp}/fit.json"],
+            FIT),
     "surface": (["surface", "--data", "{data}/m3_runs.csv", "--grid", "3"],
                 FIT | {"ranking"}),
     "predict": (["predict", "--fit", "{tmp}/pwo.json"], FIT | {"ranking"}),
@@ -61,10 +64,16 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "oof
 """
 
 
-def _run(code, *args):
+def _env():
+    """The test environment with ``oofa`` importable and stdout block-buffered."""
     src = os.path.dirname(os.path.dirname(oofa.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _run(code, *args):
+    done = subprocess.run([sys.executable, "-c", code, *args], env=_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -76,13 +85,18 @@ def test_bare_import_loads_no_submodule():
     assert _run(code) == ["oofa"]
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_each_command_loads_only_its_modules(command, data_dir, tmp_path, capsys):
+def _command_argv(command, data_dir, tmp_path, capsys):
+    """The argv of ``COMMANDS[command]``, with ``pwo.json`` written to ``tmp_path``."""
     assert main(["fit", "--model", "pwo", "--data", str(data_dir / "m3_runs.csv"),
                  "--out", str(tmp_path / "pwo.json")]) == 0
     capsys.readouterr()
-    argv, expected = COMMANDS[command]
-    argv = [arg.format(data=data_dir, tmp=tmp_path) for arg in argv]
+    return [arg.format(data=data_dir, tmp=tmp_path) for arg in COMMANDS[command][0]]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_only_its_modules(command, data_dir, tmp_path, capsys):
+    argv = _command_argv(command, data_dir, tmp_path, capsys)
+    expected = COMMANDS[command][1]
     code, loaded = _run(PROBE, json.dumps(argv))
     assert code == 0
     assert set(loaded) == {"oofa"} | {f"oofa.{name}" for name in expected}
@@ -111,3 +125,107 @@ def test_namespace_listing_and_star_import():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         oofa.no_such_name  # noqa: B018
+
+
+# -- the process: python -m oofa ends through cli.run ------------------------
+
+
+def _assert_process_matches_main(argv, capsys):
+    """``python -m oofa *argv`` and ``main(argv)`` agree on stdout, stderr, the
+    exit code and every ``--out`` file, byte for byte."""
+    outs = [Path(path) for flag, path in zip(argv, argv[1:]) if flag == "--out"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    expected = (code, captured.out, captured.err, [path.read_bytes() for path in outs])
+    for path in outs:
+        path.unlink()
+    done = subprocess.run([sys.executable, "-m", "oofa", *argv], env=_env(), capture_output=True)
+    got = (done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8"),
+           [path.read_bytes() for path in outs])
+    assert got == expected
+    return code
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_python_m_oofa_matches_main(command, data_dir, tmp_path, capsys):
+    argv = _command_argv(command, data_dir, tmp_path, capsys)
+    assert _assert_process_matches_main(argv, capsys) == 0
+
+
+def test_python_m_oofa_matches_main_on_a_rank_deficient_fit(tmp_path, capsys):
+    path = tmp_path / "two_orders.csv"
+    path.write_text("pos_1,pos_2,pos_3,y\nA,B,C,1\nB,A,C,2\nA,B,C,3\nB,A,C,5\n",
+                    encoding="utf-8")
+    assert _assert_process_matches_main(["fit", "--model", "pwo", "--data", str(path)],
+                                        capsys) == 1
+
+
+def test_python_m_oofa_matches_main_on_a_missing_design(tmp_path, capsys):
+    argv = ["criteria", "--design", str(tmp_path / "missing.csv"), "--models", "pwo",
+            "--criterion", "apv"]
+    assert _assert_process_matches_main(argv, capsys) == 2
+
+
+def test_a_profiled_request_still_writes_its_profile(tmp_path):
+    """Under a profiler the request exits normally, so cProfile writes its file."""
+    profile = tmp_path / "prof.out"
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile),
+                           "-m", "oofa", "enumerate", "--m", "3"], env=_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("pos_1,pos_2,pos_3\n")
+    assert profile.stat().st_size > 0
+
+
+def test_console_script_starts_through_run():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["oofa", "=", '"oofa.cli:run"']
+
+
+def _assert_one_error_line(code, stderr, name="BrokenPipeError"):
+    lines = [line for line in stderr.decode("utf-8").splitlines()
+             if not line.startswith("# config:")]
+    assert code == 2, stderr
+    assert len(lines) == 1 and lines[0].startswith(f"oofa: error: {name}: "), stderr
+
+
+def _closed_stdout_request(argv):
+    """Run ``python -m oofa *argv`` on a pipe whose reader closed before the start."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "oofa", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=_env())
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+def test_stdout_closed_before_the_request_is_one_error_line():
+    """The table fits the stdout buffer, so the final flush is the failing write."""
+    _assert_one_error_line(*_closed_stdout_request(["enumerate", "--m", "3"]))
+
+
+def test_a_failed_request_on_a_closed_stdout_reports_its_own_error_only(data_dir, tmp_path):
+    """The fit JSON waits in the stdout buffer when ``--out`` cannot be opened;
+    the request reports that error, not the flush that fails after it."""
+    argv = ["fit", "--model", "pwo", "--data", str(data_dir / "m3_runs.csv"),
+            "--out", str(tmp_path / "missing" / "fit.json")]
+    _assert_one_error_line(*_closed_stdout_request(argv), name="FileNotFoundError")
+
+
+def test_stdout_closed_mid_table_is_one_error_line():
+    """The m = 8 table is far larger than a pipe holds, so a write inside the
+    table fails once the reader has gone."""
+    proc = subprocess.Popen([sys.executable, "-m", "oofa", "enumerate", "--m", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    try:
+        assert proc.stdout.readline() == b"pos_1,pos_2,pos_3,pos_4,pos_5,pos_6,pos_7,pos_8\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    _assert_one_error_line(code, stderr)

@@ -29,6 +29,21 @@ def test_rank_descending_basics():
     np.testing.assert_array_equal(rank_descending([1.0, 1.0, 1.0]), [1, 2, 3])
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_descending_matches_the_lexsort_form(seed):
+    """Ranks equal those of a lexsort on (-estimate, row), ties and signed zeros
+    included: 0.0 and -0.0 tie, and the earlier row ranks first."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+    est = rng.choice(np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -1e-300, 7.0]), size=n)
+    fresh = rng.random(n) < 0.3
+    est[fresh] = rng.normal(size=int(fresh.sum()))
+    order = np.lexsort((np.arange(n), -est))
+    expected = np.empty(n, dtype=int)
+    expected[order] = np.arange(1, n + 1)
+    np.testing.assert_array_equal(rank_descending(est), expected)
+
+
 @pytest.mark.parametrize("label", FIVE)
 def test_predictions_match_oracle(label, m3_dataset, oracle_fixtures):
     table = predict_all(ols_fit(parse_model(label), m3_dataset))
