@@ -143,10 +143,10 @@ def _cmd_fit(args: argparse.Namespace) -> None:
     data = _apply_block(_load_dataset(args.data), args.block)
     fit = ols_fit(spec, data)
     text = to_json(fit_to_dict(fit))
-    print(text)
-    if args.out:
+    if args.out:  # first, so an --out that fails leaves stdout empty
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    print(text)
 
 
 def _weighted_candidates(
@@ -302,10 +302,10 @@ def _cmd_design(args: argparse.Namespace) -> None:
         "objective_trace": list(result.objective_trace),
         "design": result.design.orders.tolist(),
     }
-    print(to_json(report))
-    if args.out:
+    if args.out:  # first, so an --out that fails leaves stdout empty
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             write_design(handle, result.design, run_index=True)
+    print(to_json(report))
 
 
 def _cmd_surface(args: argparse.Namespace) -> None:

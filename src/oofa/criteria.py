@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,7 @@ import numpy as np
 from . import models
 from .design import RANK_RTOL, Design, check_weights
 from .errors import EstimabilityError, ValidationError
-from .models import ModelSpec, full_factorial_matrix, moment_orders, order_matrix
+from .models import ModelSpec, moment_orders, order_matrix
 
 
 class CriterionKind(str, enum.Enum):
@@ -131,26 +131,16 @@ class CompoundSpec:
 class MemberRows:
     """A criterion as the kernel scores it: ``scale`` tr[M^-1 ``moment``] for
     apv and av, ``moment`` None and ``scale`` sigma^2 for A and D, in the
-    criterion's coding.  From :func:`member_rows` it also knows the model,
-    m and the coding of model rows (None without ``--orth``)."""
+    criterion's coding, which :meth:`code` applies to model rows (None
+    without ``--orth``)."""
 
     criterion: CriterionSpec
     moment: np.ndarray | None
     scale: float
     coding: OrthogonalCoding | None = None
-    model: ModelSpec | None = None
-    m: int = 0
 
     def code(self, x: np.ndarray) -> np.ndarray:
         return x if self.coding is None else self.coding.apply(x)
-
-    @cached_property
-    def candidates(self) -> np.ndarray:
-        """All w = m! candidate rows, coded; built on first use, so the A-
-        and D-criteria of one design never build the full factorial."""
-        rows = self.code(full_factorial_matrix(self.model, self.m).values)
-        rows.setflags(write=False)
-        return rows
 
 
 def criterion_values(x: np.ndarray, rows: MemberRows) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +346,7 @@ def member_rows(model: ModelSpec, criterion: CriterionSpec, m: int) -> MemberRow
     kind, sigma2 = criterion.kind, criterion.sigma2
     coding = orthogonal_coding(model, m) if criterion.orthogonal_coding else None
     if kind in (CriterionKind.A_OPT, CriterionKind.D_OPT):
-        return MemberRows(criterion, None, sigma2, coding, model, m)
+        return MemberRows(criterion, None, sigma2, coding)
     plain, centered, w = factorial_moments(model, m)
     if kind is CriterionKind.APV:
         moment, scale = centered, 2.0 * sigma2 / (w - 1)
@@ -365,7 +355,7 @@ def member_rows(model: ModelSpec, criterion: CriterionSpec, m: int) -> MemberRow
     if coding is not None:  # the coded rows are x T, so their moment is T^T C T
         moment = coding.apply(coding.apply(moment).T)
         moment.setflags(write=False)
-    return MemberRows(criterion, moment, scale, coding, model, m)
+    return MemberRows(criterion, moment, scale, coding)
 
 
 def criterion_value(model: ModelSpec, criterion: CriterionSpec, design: Design) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -330,15 +329,6 @@ def _columns(header: Sequence[str], rows: Iterable[Sequence]) -> list:
     return [[row[j] for row in rows] for j in range(len(header))]
 
 
-def _json_number(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
 def to_json(obj) -> str:
     """JSON text with insertion-ordered keys (the module-wide convention)."""
     return json.dumps(obj, indent=2)
@@ -354,18 +344,18 @@ def fit_to_dict(fit: FitResult) -> dict:
             for term, est in zip(fit.term_labels, fit.coefficients)
         ],
         "rss": float(fit.rss),
-        "rmse": _json_number(fit.rmse) if fit.rmse is not None else None,
+        "rmse": fit.rmse,
         "df_error": int(fit.df_error),
-        "aic": _json_number(fit.aic) if fit.aic is not None else None,
-        "bic": _json_number(fit.bic) if fit.bic is not None else None,
+        "aic": fit.aic,
+        "bic": fit.bic,
         "n": int(fit.n),
         # extras beyond the advertised schema, for information only: `predict`
         # refits the model to `data` and reads none of them
         "m": int(fit.m),
         "p_effective": int(fit.p_effective),
         "n_block_cols": int(fit.n_block_cols),
-        "sigma2_hat": _json_number(fit.sigma2_hat) if fit.sigma2_hat is not None else None,
-        "log_lik": _json_number(fit.log_lik) if fit.log_lik is not None else None,
+        "sigma2_hat": fit.sigma2_hat,
+        "log_lik": fit.log_lik,
         "xtx_inv": [[float(v) for v in row] for row in fit.xtx_inv],
         "data": {
             "orders": fit.data.design.orders.tolist(),

@@ -1,28 +1,31 @@
 """Greedy point-exchange search for good N-run order-of-addition designs.
 
 The candidate pool is the explicit full factorial of all w = m! orders
-(tractable because component counts are capped at 8).  One pass proposes,
-for each run slot in turn, every candidate replacement, keeps the strictly
-best one, and repeats until a full pass makes no change.  Multiple random
-restarts run independently (child seeds spawned from one root seed) and the
-best final design wins; ties go to the earlier restart.
+(tractable because component counts are capped at 8), coded for each
+member once per search.  One pass proposes, for each run slot in turn,
+every candidate replacement, keeps the strictly best one, and repeats until
+a full pass makes no change.  Multiple random restarts run independently
+(child seeds spawned from one root seed) and the best final design wins;
+ties go to the earlier restart.
 
 Swaps are scored as rank-2 updates (Fedorov's exchange).  While the design
-is unchanged, each compound member caches the SVD X = U S V^T, so that
-M^-1 = (X^T X)^-1 = V S^-2 V^T, and the whitened candidate rows
-Z = X_f V S^-1 together with Z G, G = S^-1 V^T C V S^-1, C being the
-member's moment matrix (I for the A-criterion).  Replacing the run x_o by a
-candidate x_c then changes |X^T X| by the ratio delta from the matrix
-determinant lemma and tr[M^-1 C] by a Woodbury correction with a 2 x 2
-capacitance matrix, so one slot costs O(w p) rather than an SVD and a
-solve per candidate.  A swap with delta at or below a fixed tolerance is
+is unchanged, each compound member caches one w-row array, the whitened
+candidate rows Z = X_f V S^-1 from the SVD X = U S V^T (so that
+M^-1 = (X^T X)^-1 = V S^-2 V^T), beside the p x p G = S^-1 V^T C V S^-1,
+C being the member's moment matrix (I for the A-criterion, where
+G = S^-2).  Replacing the run x_o by a candidate x_c then changes |X^T X|
+by the ratio delta from the matrix determinant lemma and tr[M^-1 C] by a
+Woodbury correction with a 2 x 2 capacitance matrix, so one slot costs
+the products Z z_o and Z (G z_o), O(w p), rather than an SVD and a solve
+per candidate.  A swap with delta at or below a fixed tolerance is
 inestimable and scores +inf.
 
 Only the best rank-2 scores are trusted as a ranking: they are re-scored
 exactly, by the thin-SVD criterion kernel of :mod:`oofa.criteria` that also
 scores single designs, and a swap is accepted only when its exact value is
-strictly below the current one.  The cache is rebuilt in full after every
-accepted swap, so rounding error cannot build up.  The exact scorer also
+strictly below the current one.  The cache is dropped after every accepted
+swap and rebuilt in full for the next slot, so rounding error cannot build
+up and one design's cache is held at a time.  The exact scorer also
 screens the random starting designs, a few at a time until one is
 estimable, in chunks capped by bytes so memory stays bounded whatever N is.
 """
@@ -44,6 +47,7 @@ from .criteria import (
 )
 from .design import Design
 from .errors import SearchFailureError, ValidationError
+from .models import full_factorial_matrix
 from .perms import MAX_COMPONENTS, check_capacity, order_array
 
 #: Bytes for one chunk of exact scoring, counted as its gathered (rows, N, p)
@@ -117,14 +121,17 @@ def _chunk_rows(n_runs: int, p: int) -> int:
 
 
 class _Evaluator:
-    """Scores batches of designs (as index arrays into the m! pool) exactly."""
+    """Scores batches of designs (as index arrays into the m! pool) exactly;
+    ``members`` holds (criterion, coded rows of all w candidates, weight)."""
 
     def __init__(self, objective: CompoundSpec, m: int):
-        self.members = [
-            (member_rows(member.model, member.criterion, m), member.weight)
-            for member in objective.members
-        ]
-        self._p_max = max(rows.candidates.shape[1] for rows, _ in self.members)
+        self.members = []
+        for member in objective.members:
+            rows = member_rows(member.model, member.criterion, m)
+            pool = rows.code(full_factorial_matrix(member.model, m).values)
+            pool.setflags(write=False)  # shared by every sweep of the search
+            self.members.append((rows, pool, member.weight))
+        self._p_max = objective.max_param_count(m)
 
     def evaluate(self, batch: np.ndarray) -> np.ndarray:
         """Compound objective for each row of ``batch`` (+inf if inestimable)."""
@@ -137,13 +144,13 @@ class _Evaluator:
 
     def member_values(self, batch: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(values, column ranks) of each member for each row of ``batch``."""
-        return [criterion_values(rows.candidates[batch], rows) for rows, _ in self.members]
+        return [criterion_values(pool[batch], rows) for rows, pool, _ in self.members]
 
     def _evaluate_chunk(self, chunk: np.ndarray) -> np.ndarray:
         total = np.zeros(chunk.shape[0])
         estimable = np.ones(chunk.shape[0], dtype=bool)
-        for (rows, weight), (values, rank) in zip(self.members, self.member_values(chunk)):
-            estimable &= rank == rows.candidates.shape[1]
+        for (rows, pool, weight), (values, rank) in zip(self.members, self.member_values(chunk)):
+            estimable &= rank == pool.shape[1]
             # inestimable values may be 0, tiny or inf; the mask below replaces them
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 total += weight * oriented_value(rows.criterion.kind, values)
@@ -153,25 +160,24 @@ class _Evaluator:
 class _MemberSweep:
     """One member's cached products for the swaps out of a fixed design."""
 
-    def __init__(self, rows: MemberRows, idx: np.ndarray):
-        xf = rows.candidates
-        p = xf.shape[1]
-        _, s, vt = np.linalg.svd(xf[idx], full_matrices=False)
+    def __init__(self, rows: MemberRows, pool: np.ndarray, idx: np.ndarray):
+        p = pool.shape[1]
+        _, s, vt = np.linalg.svd(pool[idx], full_matrices=False)
         # whitened rows: x_c^T M^-1 x_o = z_c . z_o, and a_cc = |z_c|^2 is a
         # sum of squares, more accurate than rowsum(X_f M^-1 * X_f)
-        self.rows = rows
-        self.z = xf @ (vt.T / s)
+        self.z = pool @ (vt.T / s)
         self.a = np.einsum("ij,ij->i", self.z, self.z)
         if rows.criterion.kind is CriterionKind.D_OPT:
+            self.g, self.scale = None, rows.scale
             self.logdet = 2.0 * float(np.sum(np.log(s)))
-            return
-        if rows.moment is None:  # A: (sigma^2 / p) tr[M^-1], with G = S^-2 diagonal
+        elif rows.moment is None:  # A: (sigma^2 / p) tr[M^-1], with G = S^-2 diagonal
             g, self.scale = s**-2.0, rows.scale / p
-            self.q, self.trace = self.z * g, float(np.sum(g))
+            self.g, self.trace = np.diag(g), float(np.sum(g))
+            self.b = (self.z * self.z) @ g
         else:  # G = S^-1 V^T C V S^-1, so B = M^-1 C M^-1 acts as z^T G z
-            g, self.scale = (vt / s[:, None]) @ rows.moment @ (vt.T / s), rows.scale
-            self.q, self.trace = self.z @ g, float(np.trace(g))  # tr[M^-1 C]
-        self.b = np.einsum("ij,ij->i", self.q, self.z)
+            self.g, self.scale = (vt / s[:, None]) @ rows.moment @ (vt.T / s), rows.scale
+            self.trace = float(np.trace(self.g))  # tr[M^-1 C]
+            self.b = np.einsum("ij,ij->i", self.z @ self.g, self.z)
 
     def values(self, out: int) -> tuple[np.ndarray, np.ndarray]:
         """(member value, determinant ratio delta) of every candidate swapped
@@ -181,13 +187,12 @@ class _MemberSweep:
         a_co = self.z @ z_o
         delta = (1.0 + self.a) * (1.0 - a_oo) + a_co**2
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.rows.criterion.kind is CriterionKind.D_OPT:
+            if self.g is None:
                 logdet = self.logdet + np.log(delta)
-                p = z_o.shape[0]
-                return 1.0 / (self.rows.scale * np.exp(logdet / p)), delta
+                return 1.0 / (self.scale * np.exp(logdet / z_o.shape[0])), delta
             # Woodbury with capacitance K = [[1 + a_cc, a_co], [a_co, a_oo - 1]],
             # det K = -delta
-            b_co = self.q @ z_o
+            b_co = self.z @ (self.g @ z_o)
             b_oo = self.b[out]
             correction = (1.0 - a_oo) * self.b + 2.0 * a_co * b_co - (1.0 + self.a) * b_oo
             return self.scale * (self.trace - correction / delta), delta
@@ -199,7 +204,7 @@ class _SwapScorer:
     def __init__(self, evaluator: _Evaluator, idx: np.ndarray):
         self._idx = idx.copy()
         self._members = evaluator.members
-        self._sweeps = [_MemberSweep(rows, self._idx) for rows, _ in evaluator.members]
+        self._sweeps = [_MemberSweep(rows, pool, self._idx) for rows, pool, _ in self._members]
 
     def scores(self, slot: int) -> np.ndarray:
         """Score of each of the w candidates put into ``slot`` (+inf if
@@ -207,7 +212,7 @@ class _SwapScorer:
         out = self._idx[slot]
         total = 0.0
         estimable = True
-        for (_, weight), sweep in zip(self._members, self._sweeps):
+        for (_, _, weight), sweep in zip(self._members, self._sweeps):
             values, delta = sweep.values(out)
             # inestimable swaps may score inf; the mask below replaces them
             with np.errstate(invalid="ignore"):
@@ -243,18 +248,17 @@ def _random_start(
     return None
 
 
-def _exchange_pass(
-    idx: np.ndarray, current: float, evaluator: _Evaluator, w: int
-) -> tuple[float, bool]:
+def _exchange_pass(idx: np.ndarray, current: float, evaluator: _Evaluator) -> tuple[float, bool]:
     """One sweep over all slots, mutating ``idx`` in place."""
-    improved = False
-    scorer = _SwapScorer(evaluator, idx)
+    improved, scorer = False, None
     for slot in range(idx.shape[0]):
+        if scorer is None:
+            scorer = _SwapScorer(evaluator, idx)
         swap = _best_swap(evaluator, idx, slot, scorer.scores(slot), current)
         if swap is not None:
             idx[slot], current = swap
-            improved = True
-            scorer = _SwapScorer(evaluator, idx)
+            # drop the old design's caches before the next slot builds new ones
+            improved, scorer = True, None
     return current, improved
 
 
@@ -303,7 +307,7 @@ def exchange_search(config: SearchConfig) -> SearchResult:
         idx, current = start
         trace = [current]
         for _ in range(config.max_passes):
-            current, improved = _exchange_pass(idx, current, evaluator, w)
+            current, improved = _exchange_pass(idx, current, evaluator)
             if improved:
                 trace.append(current)
             else:

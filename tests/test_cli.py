@@ -122,6 +122,20 @@ def test_fit_out_writes_same_json(capsys, m3_csv, tmp_path):
     assert json.loads(out_path.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--model", "pwo", "--data", None],
+    ["design", "--m", "3", "--runs", "8", "--models", "pwo", "--restarts", "1"],
+], ids=["fit", "design"])
+def test_an_out_that_cannot_be_opened_leaves_stdout_empty(capsys, m3_csv, tmp_path, argv):
+    """``--out`` is written before stdout, so a request whose ``--out`` fails
+    prints no result, only its error."""
+    argv = [m3_csv if arg is None else arg for arg in argv]
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("oofa: error: FileNotFoundError: ")
+
+
 def test_geom_ratio_keeps_every_digit(capsys, m3_csv, full_factorial_m4, tmp_path):
     label = "tpwo:geom=0.1234567890123456"
     path = tmp_path / "geom_fit.json"

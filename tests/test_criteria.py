@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import _oracle as oracle
 from oofa import (
@@ -396,3 +398,53 @@ def test_compound_validation():
     with pytest.raises(ValidationError, match="finite"):
         CompoundSpec((CompoundMember(pwo, crit, 0.5),
                       CompoundMember(parse_model("rs2"), crit, math.nan)))
+
+
+# -- invariance properties ----------------------------------------------------
+
+NINE = ("pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear", "cp", "rs2", "rs3", "rs3s", "nn")
+
+
+@st.composite
+def _estimable_designs(draw):
+    """(model, orders): 2p runs drawn from all m! orders, m = 4..6, on which
+    the model is estimable."""
+    m = draw(st.integers(4, 6))
+    spec = parse_model(draw(st.sampled_from(NINE)))
+    pool, n_runs = order_array(m), 2 * spec.param_count(m)
+    orders = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_runs, max_size=n_runs))]
+    x = build_matrix(spec, orders).values
+    assume(np.linalg.matrix_rank(x) == x.shape[1])
+    return spec, orders
+
+
+def _all_values(spec, orders):
+    """Every criterion in both codings: {(kind, orth): value}."""
+    design = Design(orders)
+    return {(kind, orth): criterion_value(spec, CriterionSpec(kind, 1.0, orth), design)
+            for kind in CriterionKind for orth in (False, True)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_estimable_designs(), st.data())
+def test_relabeling_components_leaves_the_criteria_unchanged(case, data):
+    """Relabeling maps the m! orders onto themselves and the model's column
+    span onto itself, so apv, av and D do not move in either coding.  A
+    depends on the parameterization and moves without --orth."""
+    spec, orders = case
+    m = orders.shape[1]
+    relabel = np.array(data.draw(st.permutations(range(1, m + 1))))
+    before, after = _all_values(spec, orders), _all_values(spec, relabel[orders - 1])
+    for (kind, orth), value in before.items():
+        if kind is not CriterionKind.A_OPT or orth:
+            assert after[kind, orth] == pytest.approx(value, rel=1e-9), (kind, orth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_estimable_designs(), st.data())
+def test_reordering_the_runs_leaves_the_criteria_unchanged(case, data):
+    spec, orders = case
+    order = data.draw(st.permutations(range(len(orders))))
+    before, after = _all_values(spec, orders), _all_values(spec, orders[order])
+    for key, value in before.items():
+        assert after[key] == pytest.approx(value, rel=1e-9), key

@@ -3,6 +3,7 @@ namespace, the modules every CLI command loads, and the ``python -m oofa``
 process, which ends through ``cli.run``."""
 
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import oofa
+from oofa import cli
 from oofa.cli import build_parser, main
 
 #: Every name ``oofa`` exports besides ``__version__``.
@@ -208,11 +210,49 @@ def test_stdout_closed_before_the_request_is_one_error_line():
 
 
 def test_a_failed_request_on_a_closed_stdout_reports_its_own_error_only(data_dir, tmp_path):
-    """The fit JSON waits in the stdout buffer when ``--out`` cannot be opened;
-    the request reports that error, not the flush that fails after it."""
+    """``--out`` is written before stdout, so a fit whose ``--out`` cannot be
+    opened prints nothing; the request reports that error, and the flush of
+    its closed stdout adds none."""
     argv = ["fit", "--model", "pwo", "--data", str(data_dir / "m3_runs.csv"),
             "--out", str(tmp_path / "missing" / "fit.json")]
     _assert_one_error_line(*_closed_stdout_request(argv), name="FileNotFoundError")
+
+
+class _GoneReader(io.StringIO):
+    """A stdout whose reader has gone: what it holds can never be flushed."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_run_reports_a_failed_flush_only_after_a_request_that_succeeded(
+    monkeypatch, capsys, code
+):
+    """The request has buffered output when the final flush fails.  A request
+    that failed has printed its own error line and keeps its exit code; one
+    that succeeded reports the flush and exits 2."""
+    def request(argv):
+        print("buffered")
+        return code
+
+    def exit_now(status):
+        raise SystemExit(status)
+
+    monkeypatch.setattr(cli, "main", request)
+    monkeypatch.setattr(os, "_exit", exit_now)
+    monkeypatch.setattr(sys, "gettrace", lambda: None)
+    monkeypatch.setattr(sys, "getprofile", lambda: None)
+    if hasattr(sys, "monitoring"):
+        monkeypatch.setattr(sys.monitoring, "get_tool", lambda tool: None)
+    monkeypatch.setattr(sys, "stdout", _GoneReader())
+    with pytest.raises(SystemExit) as exited:
+        cli.run([])
+    stderr = capsys.readouterr().err
+    if code == 0:
+        _assert_one_error_line(exited.value.code, stderr.encode())
+    else:
+        assert (exited.value.code, stderr) == (code, "")
 
 
 def test_stdout_closed_mid_table_is_one_error_line():

@@ -328,7 +328,7 @@ def test_exchange_pass_matches_tiled_reference(labels, kind, orth, m, n_runs):
         idx, current = idx_ref.copy(), current_ref
         for _ in range(10):
             current_ref, improved_ref = _tiled_exchange_pass(idx_ref, current_ref, evaluator, w)
-            current, improved = _exchange_pass(idx, current, evaluator, w)
+            current, improved = _exchange_pass(idx, current, evaluator)
             assert np.array_equal(idx, idx_ref)
             assert current == current_ref
             assert improved == improved_ref
@@ -338,7 +338,8 @@ def test_exchange_pass_matches_tiled_reference(labels, kind, orth, m, n_runs):
 
 def test_accepted_swaps_stay_estimable(monkeypatch):
     """nn at m = 3 with 7 runs: no accepted swap may leave a design that
-    ``compound`` rejects.  The scorer is rebuilt after every accepted swap,
+    ``compound`` rejects.  A scorer is built for the slot after every
+    accepted swap, or for the next pass when the swap was in the last slot,
     so recording its designs sees each one."""
     designs = []
 
@@ -357,7 +358,34 @@ def test_accepted_swaps_stay_estimable(monkeypatch):
         improved = True
         while improved:
             passes += 1
-            current, improved = _exchange_pass(idx, current, evaluator, 6)
-    assert len(designs) > passes  # one scorer per pass, one more per accepted swap
+            current, improved = _exchange_pass(idx, current, evaluator)
+    assert len(designs) > passes  # one scorer per pass, one more per swap before the last slot
     for idx in designs:
         assert np.isfinite(compound(objective, Design(pool[idx])))
+
+
+# -- memory of one pass -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", list(CriterionKind))
+def test_exchange_pass_holds_one_cache_of_w_rows_per_member(kind):
+    """Apart from the pools, a pass holds one w x p array per member, Z, and
+    the caches of one design at a time.  Its traced peak, above what is held
+    when it starts, stays under twice w * sum(p) doubles: a second w x p array
+    per member, or a second design's caches, would each take that much."""
+    m = 6
+    objective = _objective("pwo", "rs2", "nn", "cp", criterion=CriterionSpec(kind))
+    evaluator = _Evaluator(objective, m)  # builds the pools
+    w = math.factorial(m)
+    n_runs = 2 * objective.max_param_count(m)
+    idx, current = _random_start(evaluator, n_runs, w, np.random.default_rng(0))
+    cache_bytes = 8 * w * sum(pool.shape[1] for _, pool, _ in evaluator.members)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        _, improved = _exchange_pass(idx, current, evaluator)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert improved  # the caches were rebuilt after an accepted swap
+    assert peak <= 2 * cache_bytes, f"peak {peak / cache_bytes:.2f} x w * sum(p) doubles"
