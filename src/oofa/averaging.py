@@ -19,7 +19,6 @@ conditional variances only the spread contributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .design import check_weights
 from .errors import SaturatedModelError, ValidationError
 from .fitting import FitResult, akaike_weights, information_criteria
 from .perms import Permutation, as_permutations, order_array
-from .ranking import predict_factorial, rank_descending
+from .ranking import predict_factorial, rank_descending, walk_orders
 
 
 def combine_predictions(
@@ -51,7 +50,7 @@ def combine_predictions(
     return avg, (w @ np.sqrt(cvar + (est - avg) ** 2)) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """K fits of the same dataset with normalized model weights."""
 
@@ -87,7 +86,7 @@ class CandidateSet:
         return cls(fits, tuple(float(w) for w in akaike_weights(aics)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AveragedPrediction:
     """Model-averaged estimate, standard error and rank for every order.
 
@@ -119,19 +118,24 @@ class AveragedPrediction:
         return as_permutations(self.orders)
 
 
-def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
+def average_predictions(candidates: CandidateSet, fork: bool = False) -> AveragedPrediction:
     """Average the candidate models' predictions over all m! orders.
 
     The orders are walked once (:func:`~oofa.ranking.predict_factorial`) and
     each block of predictions is combined as it arrives, so only the (K, m!)
-    estimates and the m!-long results are kept.
+    estimates and the m!-long results are kept.  With ``fork``, a forked
+    child process may walk the second half of the orders: see
+    :mod:`oofa.split`.
     """
     m, weights = candidates.fits[0].m, np.array(candidates.weights)
-    model_est = np.empty((len(candidates.fits), factorial(m)))
-    avg, var = np.empty(factorial(m)), np.empty(factorial(m))
-    for rows, est, cvar in predict_factorial(candidates.fits):
-        model_est[:, rows] = est
-        avg[rows], var[rows] = combine_predictions(est, cvar, weights)
+
+    def fill(arrays, start, stop):
+        model_est, avg, var = arrays
+        for rows, est, cvar in predict_factorial(candidates.fits, start, stop):
+            model_est[:, rows] = est
+            avg[rows], var[rows] = combine_predictions(est, cvar, weights)
+
+    model_est, avg, var = walk_orders(m, fill, [(len(candidates.fits),), (), ()], fork)
     model_ranks = np.empty(model_est.shape, dtype=int)
     for ranks, est in zip(model_ranks, model_est):
         ranks[:] = rank_descending(est)
@@ -139,4 +143,3 @@ def average_predictions(candidates: CandidateSet) -> AveragedPrediction:
         order_array(m), avg, var, np.sqrt(var), rank_descending(avg),
         model_est, model_ranks,
     )
-

@@ -39,14 +39,14 @@ MAX_GRID = 1000
 def _emit_config(args: argparse.Namespace) -> None:
     """Print every parsed argument but the command and its handler, in parser order."""
     parts = [f"{key.replace('_', '-')}={value}" for key, value in vars(args).items()
-             if key not in ("command", "func")]
+             if key not in ("command", "func", "fork")]
     print(f"# config: {args.command} " + " ".join(parts), file=sys.stderr)
 
 
 def _emit_table(args: argparse.Namespace, header, columns) -> None:
     from .dataio import write_table
 
-    write_table(sys.stdout, header, columns, getattr(args, "format", "csv"))
+    write_table(sys.stdout, header, columns, getattr(args, "format", "csv"), args.fork)
 
 
 def _check_top(top: int | None, count: int) -> None:
@@ -187,14 +187,14 @@ def _cmd_average(args: argparse.Namespace) -> None:
     data = _apply_block(_load_dataset(args.data), args.block)
     fits = [ols_fit(spec, data) for spec in specs]
     candidates, display_only = _weighted_candidates(fits, args.weights)
-    averaged = average_predictions(candidates)
+    averaged = average_predictions(candidates, args.fork)
 
     predicted = {
         id(fit): (est, ranks)
         for fit, est, ranks in zip(candidates.fits, averaged.model_estimates, averaged.model_ranks)
     }
     for fit in display_only:
-        table = predict_all(fit)
+        table = predict_all(fit, args.fork)
         predicted[id(fit)] = (table.estimates, table.ranks)
     per_model = [(fit.spec.label, *predicted[id(fit)]) for fit in fits]
 
@@ -222,7 +222,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
         except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise ParseError(f"{args.fit} is not a JSON fit file: {exc}") from None
     fit = fit_from_dict(payload)
-    table = predict_all(fit)
+    table = predict_all(fit, args.fork)
     if args.minimize:
         table = PredictionTable(
             table.orders, table.estimates, table.std_errors, rank_descending(-table.estimates)
@@ -425,9 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, fork: bool = False) -> int:
+    """Run one request; return its exit code.  With ``fork``, which
+    :func:`run` alone passes, a request that walks or prints a long run of
+    rows may split it with a forked child process: see :mod:`oofa.split`."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.fork = fork
     try:
         args.func(args)
     except ValidationError as exc:
@@ -452,14 +456,15 @@ def run(argv=None) -> NoReturn:
     Safe because every file a command writes is closed before ``main``
     returns (by the owners of ``dataio._open_target`` streams, and the
     ``with open(...)`` blocks of ``fit`` and ``design``); stdout and stderr
-    are flushed here.  Under a profiler or tracer, or when ``main`` raises,
-    the interpreter exits normally.
+    are flushed here.  Owning the process, the request may fork (``main``'s
+    ``fork``).  Under a profiler or tracer it does not, and the interpreter
+    exits normally, as it does when ``main`` raises.
     """
     monitoring = getattr(sys, "monitoring", None)  # cProfile and coverage from 3.12
     if (sys.getprofile() or sys.gettrace()
             or monitoring and any(monitoring.get_tool(i) for i in range(6))):
         sys.exit(main(argv))
-    code = main(argv)
+    code = main(argv, fork=True)
     try:
         sys.stdout.flush()
     except OSError as exc:  # the reader has gone

@@ -299,7 +299,7 @@ def d_criterion(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalCoding:
     """Row transform making the full-factorial moment matrix equal w I.
 

@@ -18,7 +18,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from math import isfinite
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
@@ -182,7 +184,8 @@ class OrderColumn:
         return list(map(" ".join, names.tolist()))
 
 
-def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: str = "csv") -> None:
+def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: str = "csv",
+                fork: bool = False) -> None:
     """Write a table given column by column, as CSV or as JSON text.
 
     Each column is a :class:`LabelColumn`, an :class:`OrderColumn` (cells
@@ -192,8 +195,10 @@ def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: 
     exactly ``json.dumps(records, indent=2)`` of the list of row objects
     (keys in header order, NaN as ``null``) and a newline, for distinct
     header names.  Rows are formatted and written BLOCK_ROWS at a time, so the
-    formatted table never sits in memory whole; in both formats each row is
-    one ``%`` of a template built once per table.
+    formatted table never sits in memory whole; in both formats each block
+    is one ``%`` of a row template built once per table.  With ``fork``, a
+    forked child process may format the second half of the rows: see
+    :mod:`oofa.split`.
     """
     header = list(header)
     if not header or len(columns) != len(header):
@@ -203,43 +208,63 @@ def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: 
     if any(len(values) != n for _, values in typed):
         raise ValueError("table columns differ in length")
     if fmt == "json":
-        _write_json(stream, header, typed, n)
+        if n == 0:
+            stream.write("[]\n")
+            return
+        stream.write("[\n")
+        write_rows, tail = _json_rows(header, typed), "\n]\n"
     else:
-        _write_csv(stream, header, typed, n)
+        csv.writer(stream, lineterminator="\n").writerow(header)
+        write_rows, tail = _csv_rows(typed), ""
+    if fork:
+        from .split import write
+
+        write(stream, write_rows, n, BLOCK_ROWS)
+    else:
+        write_rows(stream, 0, n)
+    stream.write(tail)
 
 
-def _write_csv(stream: IO[str], header: list[str], typed: list, n: int) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
+def _csv_rows(typed: list):
+    """``write_rows(stream, start, stop)``: the CSV rows of the blocks of
+    ``typed`` that begin in rows start..stop."""
     # Cells reach the template as arguments, never as part of it, so a % in a cell is safe.
     # Ints go in through %s, which is str for int subclasses (bool, IntEnum) too.
     template = ",".join("%.12g" if kind == "f" else "%s" for kind, _ in typed) + "\n"
-    for start in range(0, n, BLOCK_ROWS):
-        block = _block(typed, start)
-        if len(typed) > 1 and not any(
-            kind == "s" and _needs_quoting(cells) for (kind, _), cells in zip(typed, block)
-        ):
-            rows = zip(*_format_block(typed, block, _TEMPLATE_CELLS))
-            stream.write("".join([template % row for row in rows]))
-        else:  # csv.writer quotes these cells, and writes an empty lone field as ""
-            writer.writerows(zip(*_format_block(typed, block, _CSV_CELLS)))
+
+    def write_rows(stream: IO[str], start: int, stop: int) -> None:
+        writer = csv.writer(stream, lineterminator="\n")
+        for begin in range(start, stop, BLOCK_ROWS):
+            block = _block(typed, begin)
+            if len(typed) > 1 and not any(
+                kind == "s" and _needs_quoting(cells) for (kind, _), cells in zip(typed, block)
+            ):
+                cells = _format_block(typed, block, _TEMPLATE_CELLS)
+                stream.write(template * len(cells[0]) % tuple(chain.from_iterable(zip(*cells))))
+            else:  # csv.writer quotes these cells, and writes an empty lone field as ""
+                writer.writerows(zip(*_format_block(typed, block, _CSV_CELLS)))
+
+    return write_rows
 
 
-def _write_json(stream: IO[str], header: list[str], typed: list, n: int) -> None:
-    if n == 0:
-        stream.write("[]\n")
-        return
+def _json_rows(header: list[str], typed: list):
+    """``write_rows(stream, start, stop)``: the JSON records of the blocks of
+    ``typed`` that begin in rows start..stop, each block after the first
+    led by the ``,`` that ends the record before it."""
     fields = ",\n".join(
         "    " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in header
     )
     record = "  {\n" + fields + "\n  }"
-    stream.write("[\n")
-    for start in range(0, n, BLOCK_ROWS):
-        if start:
-            stream.write(",\n")
-        rows = zip(*_format_block(typed, _block(typed, start), _JSON_CELLS))
-        stream.write(",\n".join([record % row for row in rows]))
-    stream.write("\n]\n")
+
+    def write_rows(stream: IO[str], start: int, stop: int) -> None:
+        for begin in range(start, stop, BLOCK_ROWS):
+            if begin:
+                stream.write(",\n")
+            cells = _format_block(typed, _block(typed, begin), _JSON_CELLS)
+            records = ",\n".join([record] * len(cells[0]))
+            stream.write(records % tuple(chain.from_iterable(zip(*cells))))
+
+    return write_rows
 
 
 def _typed_column(column) -> tuple[str, object]:
@@ -276,7 +301,10 @@ def _format_block(typed: list, block: list[list], cells: dict) -> list[list[str]
 
 
 def _json_floats(values: list) -> list[str]:
-    return [_JSON_SPECIAL.get(text, text) for text in map(float.__repr__, values)]
+    texts = list(map(float.__repr__, values))
+    if isfinite(sum(values)):  # no NaN or infinity among them
+        return texts
+    return [_JSON_SPECIAL.get(text, text) for text in texts]
 
 
 def _as_is(values: list) -> list:

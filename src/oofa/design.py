@@ -97,7 +97,7 @@ class Design:
         return Design(self.orders, None, self.labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A design together with its observed responses."""
 

@@ -29,7 +29,7 @@ from .errors import EstimabilityError, SaturatedModelError, ValidationError
 from .models import DesignMatrix, ModelSpec, order_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """One fitted model: coefficients, dispersion, information criteria.
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from .design import Design
 from .errors import EstimabilityError, UnsupportedModelError, ValidationError
-from .perms import Permutation, order_array
+from .perms import Permutation, ascending_tail_orders, order_array
 
 #: Orders per block when the m! orders are walked (:func:`position_blocks`).
 BLOCK_ROWS = 4096
@@ -139,7 +139,7 @@ class ModelSpec:
         return sum(idx.shape[1] for _, idx in _column_groups(self, m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """A built model matrix with its labelled columns."""
 
@@ -376,15 +376,18 @@ def order_matrix(spec: ModelSpec, orders: np.ndarray) -> DesignMatrix:
     return DesignMatrix(model_rows(spec, _positions(orders)), term_labels(spec, m), m, spec)
 
 
-def position_blocks(m: int) -> Iterator[tuple[slice, np.ndarray]]:
+def position_blocks(m: int, start: int = 0, stop: int | None = None
+                    ) -> Iterator[tuple[slice, np.ndarray]]:
     """The positions q_c of all m! orders, :data:`BLOCK_ROWS` orders at a
     time, as (rows, q) pairs: ``rows`` is a slice of consecutive rows of
     :func:`~oofa.perms.order_array` and ``q`` holds the positions of those
     orders, computed from them alone, so no m!-row position array is ever
-    kept.  The blocks come in ascending order and tile the orders once.
+    kept.  The blocks come in ascending order and tile the orders once;
+    given ``start`` (a multiple of :data:`BLOCK_ROWS`) and ``stop``, only
+    the blocks that begin in rows start..stop come.
     """
-    for start in range(0, factorial(m), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
+    for begin in range(start, factorial(m) if stop is None else stop, BLOCK_ROWS):
+        rows = slice(begin, begin + BLOCK_ROWS)
         yield rows, _positions(order_array(m)[rows])
 
 
@@ -435,10 +438,9 @@ def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:
     rows with one rounding per entry.
     """
     k = min(m, 2 * max(_KINDS[kind].components for kind, _ in _column_groups(spec, m)))
-    # Row i of order_array read as positions rather than components: the rows
-    # (m-k)! apart are the first completion of each prefix, whose last m - k
-    # entries ascend, so components k+1..m take ascending positions.
-    positions = order_array(m)[::factorial(m - k)].astype(float)
+    # Orders read as positions rather than components: the last m - k entries
+    # ascend, so components k+1..m take ascending positions.
+    positions = ascending_tail_orders(m, m - k).astype(float)
     return MomentOrders(positions, _canonical_pairs(spec, m, k), factorial(m - k),
                         _position_divisor(spec, m))
 

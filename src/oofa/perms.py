@@ -73,7 +73,7 @@ class Permutation:
         return " ".join(labels[c - 1] for c in self.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StdPositions:
     """Standardized positions p_c of one run, indexed by component."""
 
@@ -119,17 +119,32 @@ def order_array(m: int) -> np.ndarray:
     instead of building m! :class:`Permutation` objects.  One byte per entry
     holds m <= 8 (0.3 MB at m = 8): cast to a wider type before multiplying
     or summing entries.
-
-    Built up from the single order of one component: the k! orders are one
-    block per leading component c, whose rest maps the (k - 1)! orders of
-    1..k-1 onto the other components in ascending order, which keeps the
-    blocks, and the rows within them, lexicographic.  The smaller arrays are
-    not kept.
     """
     check_capacity(m)
-    orders = np.ones((1, 1), dtype=np.intp)
-    for k in range(2, m + 1):
-        sub, orders = orders, np.empty((factorial(k), k), dtype=np.intp)
+    # Built in intp, np.take's index type, and narrowed once.  Built in int8, the
+    # m = 8 `average` request took 30k minor page faults instead of 8k and 10 %
+    # longer: without this early 2.6 MB temporary, glibc trims and re-grows its
+    # heap between the blocks of model rows.
+    orders = ascending_tail_orders(m, 0).astype(np.int8)
+    orders.setflags(write=False)
+    return orders
+
+
+def ascending_tail_orders(m: int, tail: int) -> np.ndarray:
+    """The orders of 1..m whose last ``tail`` components ascend, in
+    lexicographic order, as an (m!/tail!, m) ``intp`` array: the rows
+    ``order_array(m)[::factorial(tail)]``, which are the first completion of
+    each (m - tail)-component prefix, built without the others.
+
+    Built up from the single ascending order of ``tail`` components: the k!/tail!
+    orders of 1..k are one block per leading component c, whose rest maps
+    the orders of 1..k-1 onto the other components in ascending order, which
+    keeps the blocks, the rows within them and their ascending tails.  The
+    smaller arrays are not kept.
+    """
+    orders = np.arange(1, tail + 1, dtype=np.intp)[None, :]
+    for k in range(tail + 1, m + 1):
+        sub, orders = orders, np.empty((k * len(orders), k), dtype=np.intp)
         components = np.arange(k + 1)
         for c, block in enumerate(np.split(orders, k), start=1):
             block[:, 0] = c
@@ -137,12 +152,6 @@ def order_array(m: int) -> np.ndarray:
             # no index is out of range, and mode "clip" writes without a temporary
             rest = components[components != c]
             np.take(rest, sub, out=block[:, 1:], mode="clip")
-    # Built in intp, np.take's index type, and narrowed once.  Built in int8, the
-    # m = 8 `average` request took 30k minor page faults instead of 8k and 10 %
-    # longer: without this early 2.6 MB temporary, glibc trims and re-grows its
-    # heap between the blocks of model rows.
-    orders = orders.astype(np.int8)
-    orders.setflags(write=False)
     return orders
 
 

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import models
 from .errors import EstimabilityError, ValidationError
 from .fitting import FitResult
 from .models import model_rows, position_blocks
 from .perms import Permutation, as_permutations, order_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionTable:
     """Per-order estimates with conditional standard errors and ranks.
 
@@ -83,8 +84,9 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
         if fit.sigma2_hat is None:
             var = np.full(len(rows), np.nan)
         else:
-            cov_model = fit.xtx_inv[:k, :k]
-            var = np.maximum(fit.sigma2_hat * ((rows @ cov_model) * rows).sum(axis=1), 0.0)
+            prod = rows @ fit.xtx_inv[:k, :k]
+            prod *= rows
+            var = np.maximum(fit.sigma2_hat * prod.sum(axis=1), 0.0)
     if not (np.all(np.isfinite(est)) and (fit.sigma2_hat is None or np.all(np.isfinite(var)))):
         raise EstimabilityError(
             f"predictions of model {fit.spec.label} overflow; rescale y, for example "
@@ -94,26 +96,50 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
 
 
 def predict_factorial(
-    fits: Sequence[FitResult],
+    fits: Sequence[FitResult], start: int = 0, stop: int | None = None,
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """:func:`predict_rows` of each of K fits of one m at every one of the m!
     orders, as (rows, est, var) per block of
-    :func:`~oofa.models.position_blocks`: ``est`` and ``var`` are (K, b) and
-    hold the predictions at the b orders of rows ``rows`` of
-    :func:`~oofa.perms.order_array`.  The orders are walked once; each
-    block's positions serve every fit, and only one block of model rows is
-    held at a time.
+    :func:`~oofa.models.position_blocks` ``(m, start, stop)``: ``est`` and
+    ``var`` are (K, b) and hold the predictions at the b orders of rows
+    ``rows`` of :func:`~oofa.perms.order_array`.  The orders are walked once;
+    each block's positions serve every fit, and only one block of model rows
+    is held at a time.
     """
-    for rows, q in position_blocks(fits[0].m):
+    for rows, q in position_blocks(fits[0].m, start, stop):
         est, var = zip(*(predict_rows(fit, model_rows(fit.spec, q)) for fit in fits))
         yield rows, np.array(est), np.array(var)
 
 
-def predict_all(fit: FitResult) -> PredictionTable:
-    """Evaluate the fit at every one of the m! orders, in lexicographic order."""
-    est, var = np.empty(factorial(fit.m)), np.empty(factorial(fit.m))
-    for rows, block_est, block_var in predict_factorial([fit]):
-        est[rows], var[rows] = block_est[0], block_var[0]
+def walk_orders(m: int, fill: Callable, shapes: Sequence[tuple], fork: bool = False
+                ) -> list[np.ndarray]:
+    """One float array of shape ``(*shape, m!)`` per shape in ``shapes``,
+    filled by ``fill(arrays, start, stop)``, which fills rows start..stop of
+    each from :func:`~oofa.models.position_blocks` ``(m, start, stop)``.
+    With ``fork``, a forked child process may fill the second half: see
+    :mod:`oofa.split`.
+    """
+    if fork:
+        from .split import walk
+
+        return walk(fill, factorial(m), models.BLOCK_ROWS, shapes)
+    arrays = [np.empty((*shape, factorial(m))) for shape in shapes]
+    fill(arrays, 0, factorial(m))
+    return arrays
+
+
+def predict_all(fit: FitResult, fork: bool = False) -> PredictionTable:
+    """Evaluate the fit at every one of the m! orders, in lexicographic order.
+
+    With ``fork``, a forked child process may walk the second half of the
+    orders: see :mod:`oofa.split`.
+    """
+    def fill(arrays, start, stop):
+        est, var = arrays
+        for rows, block_est, block_var in predict_factorial([fit], start, stop):
+            est[rows], var[rows] = block_est[0], block_var[0]
+
+    est, var = walk_orders(fit.m, fill, [(), ()], fork)
     return PredictionTable(order_array(fit.m), est, np.sqrt(var), rank_descending(est))
 
 

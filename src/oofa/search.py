@@ -101,7 +101,7 @@ class SearchConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     design: Design
     objective: float

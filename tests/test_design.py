@@ -172,3 +172,31 @@ def test_order_array_path_matches_the_permutation_adaptor(label, monkeypatch):
             else:
                 assert np.array_equal(fit, fit_runs)
             assert value == value_runs
+
+
+def test_records_holding_arrays_compare_by_identity(m4_dataset):
+    """A value-equal copy of each record is a different record: ``==`` and
+    ``hash`` work by identity rather than comparing the arrays inside."""
+    from oofa import (CandidateSet, CompoundSpec, Permutation, SearchConfig,
+                      average_predictions, exchange_search, orthogonal_coding,
+                      predict_all, standardize)
+
+    fit = ols_fit(parse_model("pwo"), m4_dataset)
+    candidates = CandidateSet.from_akaike([fit])
+    objective = CompoundSpec.equal_weights([parse_model("pwo")],
+                                           CriterionSpec(CriterionKind.APV))
+    records = [
+        m4_dataset,
+        build_matrix(parse_model("cp"), m4_dataset.design.orders),
+        orthogonal_coding(parse_model("pwo"), 4),
+        fit,
+        predict_all(fit),
+        average_predictions(candidates),
+        candidates,
+        standardize(Permutation((2, 1, 3))),
+        exchange_search(SearchConfig(4, 12, objective, restarts=1, max_passes=1)),
+    ]
+    for record in records:
+        twin = dataclasses.replace(record)
+        assert record == record and record != twin, type(record).__name__
+        assert len({record, twin, record}) == 2, type(record).__name__

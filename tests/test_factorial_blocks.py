@@ -284,6 +284,7 @@ def test_moment_orders_place_the_first_k_components_every_way_once(m):
         assert np.array_equal(np.sort(positions, axis=1), np.tile(np.arange(1, m + 1), (len(positions), 1)))
         assert len({tuple(row) for row in positions[:, :k]}) == len(positions)
         assert np.all(np.diff(positions[:, k:], axis=1) > 0)
+        assert np.array_equal(positions, order_array(m)[::orders.repeats])
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)

@@ -232,7 +232,7 @@ def test_run_reports_a_failed_flush_only_after_a_request_that_succeeded(
     """The request has buffered output when the final flush fails.  A request
     that failed has printed its own error line and keeps its exit code; one
     that succeeded reports the flush and exits 2."""
-    def request(argv):
+    def request(argv, fork=False):
         print("buffered")
         return code
 
