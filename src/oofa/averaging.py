@@ -18,8 +18,6 @@ conditional variances only the spread contributes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .design import check_weights
@@ -27,6 +25,7 @@ from .errors import SaturatedModelError, ValidationError
 from .fitting import FitResult, akaike_weights, information_criteria
 from .perms import Permutation, as_permutations, order_array
 from .ranking import predict_factorial, rank_descending, walk_orders
+from .records import Record
 
 
 def combine_predictions(
@@ -50,23 +49,19 @@ def combine_predictions(
     return avg, (w @ np.sqrt(cvar + (est - avg) ** 2)) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
+class CandidateSet(Record):
     """K fits of the same dataset with normalized model weights."""
 
-    fits: tuple[FitResult, ...]
-    weights: tuple[float, ...]
+    __slots__ = ("fits", "weights")
 
-    def __post_init__(self) -> None:
-        if not self.fits:
+    def __init__(self, fits: tuple[FitResult, ...], weights: tuple[float, ...]) -> None:
+        if not fits:
             raise ValidationError("a candidate set needs at least one fit")
-        if len(self.weights) != len(self.fits):
-            raise ValidationError(
-                f"{len(self.weights)} weights for {len(self.fits)} fits"
-            )
-        check_weights(self.weights, "model")
-        first = self.fits[0].data
-        for fit in self.fits:
+        if len(weights) != len(fits):
+            raise ValidationError(f"{len(weights)} weights for {len(fits)} fits")
+        check_weights(weights, "model")
+        first = fits[0].data
+        for fit in fits:
             if fit.data is not first and not (
                 np.array_equal(fit.data.response, first.response)
                 and np.array_equal(fit.data.design.orders, first.design.orders)
@@ -77,6 +72,8 @@ class CandidateSet:
                     f"model {fit.spec.label} has no dispersion estimate "
                     "(saturated fit) and cannot enter model averaging"
                 )
+        object.__setattr__(self, "fits", fits)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_akaike(cls, fits) -> "CandidateSet":
@@ -86,8 +83,7 @@ class CandidateSet:
         return cls(fits, tuple(float(w) for w in akaike_weights(aics)))
 
 
-@dataclass(frozen=True, eq=False)
-class AveragedPrediction:
+class AveragedPrediction(Record):
     """Model-averaged estimate, standard error and rank for every order.
 
     Row i is the order ``orders[i]`` (a (w, m) array of components 1..m).
@@ -96,18 +92,22 @@ class AveragedPrediction:
     which the average was formed.
     """
 
-    orders: np.ndarray
-    estimates: np.ndarray
-    variances: np.ndarray
-    std_errors: np.ndarray
-    ranks: np.ndarray
-    model_estimates: np.ndarray
-    model_ranks: np.ndarray
+    __slots__ = ("orders", "estimates", "variances", "std_errors", "ranks", "model_estimates",
+                 "model_ranks")
 
-    def __post_init__(self) -> None:
-        for arr in (self.orders, self.estimates, self.variances, self.std_errors,
-                    self.ranks, self.model_estimates, self.model_ranks):
+    def __init__(self, orders: np.ndarray, estimates: np.ndarray, variances: np.ndarray,
+                 std_errors: np.ndarray, ranks: np.ndarray, model_estimates: np.ndarray,
+                 model_ranks: np.ndarray) -> None:
+        for arr in (orders, estimates, variances, std_errors, ranks, model_estimates,
+                    model_ranks):
             arr.setflags(write=False)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "estimates", estimates)
+        object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "std_errors", std_errors)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "model_estimates", model_estimates)
+        object.__setattr__(self, "model_ranks", model_ranks)
 
     def __len__(self) -> int:
         return len(self.orders)

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -54,6 +53,7 @@ from . import models
 from .design import RANK_RTOL, Design, check_weights
 from .errors import EstimabilityError, ValidationError
 from .models import ModelSpec, moment_orders, order_matrix
+from .records import Record, ValueRecord
 
 
 class CriterionKind(str, enum.Enum):
@@ -72,36 +72,39 @@ ORIENTATION = {
 }
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(ValueRecord):
     """Which criterion to evaluate, at what error variance, in which coding."""
 
-    kind: CriterionKind
-    sigma2: float = 1.0
-    orthogonal_coding: bool = False
+    __slots__ = ("kind", "sigma2", "orthogonal_coding")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValidationError(f"sigma2 must be finite and positive, got {self.sigma2!r}")
-
-
-@dataclass(frozen=True)
-class CompoundMember:
-    model: ModelSpec
-    criterion: CriterionSpec
-    weight: float
+    def __init__(self, kind: CriterionKind, sigma2: float = 1.0,
+                 orthogonal_coding: bool = False) -> None:
+        if not (math.isfinite(sigma2) and sigma2 > 0):
+            raise ValidationError(f"sigma2 must be finite and positive, got {sigma2!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sigma2", sigma2)
+        object.__setattr__(self, "orthogonal_coding", orthogonal_coding)
 
 
-@dataclass(frozen=True)
-class CompoundSpec:
+class CompoundMember(ValueRecord):
+    __slots__ = ("model", "criterion", "weight")
+
+    def __init__(self, model: ModelSpec, criterion: CriterionSpec, weight: float) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "weight", weight)
+
+
+class CompoundSpec(ValueRecord):
     """A weighted set of (model, criterion) members, weights summing to one."""
 
-    members: tuple[CompoundMember, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self) -> None:
-        if not self.members:
+    def __init__(self, members: tuple[CompoundMember, ...]) -> None:
+        if not members:
             raise ValidationError("a compound criterion needs at least one member")
-        check_weights([mem.weight for mem in self.members], "compound")
+        check_weights([mem.weight for mem in members], "compound")
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def single(cls, model: ModelSpec, criterion: CriterionSpec) -> "CompoundSpec":
@@ -127,17 +130,20 @@ class CompoundSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class MemberRows:
+class MemberRows(Record):
     """A criterion as the kernel scores it: ``scale`` tr[M^-1 ``moment``] for
     apv and av, ``moment`` None and ``scale`` sigma^2 for A and D, in the
     criterion's coding, which :meth:`code` applies to model rows (None
     without ``--orth``)."""
 
-    criterion: CriterionSpec
-    moment: np.ndarray | None
-    scale: float
-    coding: OrthogonalCoding | None = None
+    __slots__ = ("criterion", "moment", "scale", "coding")
+
+    def __init__(self, criterion: CriterionSpec, moment: np.ndarray | None, scale: float,
+                 coding: OrthogonalCoding | None = None) -> None:
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "moment", moment)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "coding", coding)
 
     def code(self, x: np.ndarray) -> np.ndarray:
         return x if self.coding is None else self.coding.apply(x)
@@ -150,8 +156,10 @@ def criterion_values(x: np.ndarray, rows: MemberRows) -> tuple[np.ndarray, np.nd
     cond(X)^2) is never formed.  With W = V S^-1, (X^T X)^-1 = W W^T: apv and
     av are ``scale`` tr[W^T C W], A is (scale / p) sum s^-2 and D is scale
     exp(2 sum log s / p).  Values at rank < p are meaningless; callers mask
-    them.  A full-rank matrix whose value is not finite, or whose D is below
-    the smallest normal float, raises EstimabilityError.
+    them.  A full-rank matrix whose value is not finite, or is below the
+    smallest normal float in size, raises EstimabilityError: such a value
+    has lost digits, or all of them at 0, and compounds take 1/D.  Only an
+    apv whose trace is exactly 0 (no column varies over the orders) may be 0.
     """
     kind, moment, scale = rows.criterion.kind, rows.moment, rows.scale
     p = x.shape[2]
@@ -160,6 +168,7 @@ def criterion_values(x: np.ndarray, rows: MemberRows) -> tuple[np.ndarray, np.nd
     else:
         _, s, vt = np.linalg.svd(x, full_matrices=False)
     rank = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+    zero = False  # which values are an exact 0 trace
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if kind is CriterionKind.D_OPT:
             values = scale * np.exp(2.0 * np.log(s).sum(axis=1) / p)
@@ -167,10 +176,11 @@ def criterion_values(x: np.ndarray, rows: MemberRows) -> tuple[np.ndarray, np.nd
             values = scale / p * (s**-2.0).sum(axis=1)
         else:
             w = np.swapaxes(vt, 1, 2) / s[:, None, :]
-            values = scale * np.einsum("bij,bij->b", moment @ w, w)
-    # compounds take 1/D, so an estimable D must be at least the smallest normal float
-    floor = np.finfo(float).tiny if kind is CriterionKind.D_OPT else -np.inf
-    bad = np.flatnonzero((rank == p) & ~(np.isfinite(values) & (values >= floor)))
+            trace = np.einsum("bij,bij->b", moment @ w, w)
+            zero = trace == 0
+            values = scale * trace
+    normal = (np.abs(values) >= np.finfo(float).tiny) | zero
+    bad = np.flatnonzero((rank == p) & ~(np.isfinite(values) & normal))
     if bad.size:
         raise EstimabilityError(
             f"criterion {kind.value} with sigma2 = {rows.criterion.sigma2!r} evaluates to "
@@ -299,23 +309,24 @@ def d_criterion(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class OrthogonalCoding:
+class OrthogonalCoding(Record):
     """Row transform making the full-factorial moment matrix equal w I.
 
     From the triangular factorization X_f^T X_f = R^T R, each covariate row
     x maps to x R^{-1} sqrt(w).
     """
 
-    spec: ModelSpec
-    m: int
-    w: int
-    r: np.ndarray
-    _r_inv_scaled: np.ndarray
+    __slots__ = ("spec", "m", "w", "r", "_r_inv_scaled")
 
-    def __post_init__(self) -> None:
-        self.r.setflags(write=False)
-        self._r_inv_scaled.setflags(write=False)
+    def __init__(self, spec: ModelSpec, m: int, w: int, r: np.ndarray,
+                 _r_inv_scaled: np.ndarray) -> None:
+        r.setflags(write=False)
+        _r_inv_scaled.setflags(write=False)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "_r_inv_scaled", _r_inv_scaled)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """Transform covariate rows into the orthogonal coding."""

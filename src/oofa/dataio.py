@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -28,7 +27,8 @@ import numpy as np
 
 from .design import Dataset, Design
 from .errors import ParseError, ValidationError
-from .models import ModelSpec, parse_model
+from .models import ModelSpec, parse_model, split_start
+from .records import Record
 
 if TYPE_CHECKING:
     from .fitting import FitResult
@@ -142,15 +142,17 @@ def write_design(target, obj: Design | Dataset, run_index: bool = False) -> None
             stream.close()
 
 
-@dataclass(frozen=True, eq=False)
-class LabelColumn:
+class LabelColumn(Record):
     """A table column whose cells are ``labels[codes]``, such as the component
     labels at one position of every order: :func:`write_table` tells their
     type from the few labels rather than from each cell, and makes the cells
     of one block of rows at a time."""
 
-    labels: Sequence
-    codes: np.ndarray
+    __slots__ = ("labels", "codes")
+
+    def __init__(self, labels: Sequence, codes: np.ndarray) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "codes", codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -166,15 +168,17 @@ def position_columns(orders: np.ndarray, labels: Sequence) -> tuple[list[str], l
             [LabelColumn(labels, components - 1) for components in orders.T])
 
 
-@dataclass(frozen=True, eq=False)
-class OrderColumn:
+class OrderColumn(Record):
     """A table column of orders: row i of the (n, m) ``orders``, components
     1..m, written as the labels of its components joined by a space, such as
     ``"B C A"``.  :func:`write_table` makes the cells of one block of rows at
     a time."""
 
-    labels: Sequence[str]
-    orders: np.ndarray
+    __slots__ = ("labels", "orders")
+
+    def __init__(self, labels: Sequence[str], orders: np.ndarray) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "orders", orders)
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -216,12 +220,14 @@ def write_table(stream: IO[str], header: Sequence[str], columns: Sequence, fmt: 
     else:
         csv.writer(stream, lineterminator="\n").writerow(header)
         write_rows, tail = _csv_rows(typed), ""
-    if fork:
+    # the child's half is copied out through the stream's binary buffer
+    start = split_start(n, BLOCK_ROWS) if fork and hasattr(stream, "buffer") else None
+    if start is None:
+        write_rows(stream, 0, n)
+    else:
         from .split import write
 
-        write(stream, write_rows, n, BLOCK_ROWS)
-    else:
-        write_rows(stream, 0, n)
+        write(stream, write_rows, n, start)
     stream.write(tail)
 
 

@@ -4,13 +4,13 @@ and responses, plus the rank and weight tolerances every layer shares."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .perms import Permutation, as_permutations
+from .records import Record
 
 #: Relative singular-value threshold below which a column is rank-deficient.
 RANK_RTOL = 1e-10
@@ -18,8 +18,7 @@ RANK_RTOL = 1e-10
 WEIGHT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class Design:
+class Design(Record):
     """N runs over the same m components, with optional per-run block labels.
 
     ``orders`` is a read-only (N, m) ``int8`` array of components 1..m, run i
@@ -31,19 +30,22 @@ class Design:
     identity (compare ``orders`` with ``np.array_equal``).
     """
 
-    orders: np.ndarray
-    block: tuple[str, ...] | None = None
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("orders", "block", "labels")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", _checked_orders(self.orders))
-        for name in ("block", "labels"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(str, getattr(self, name))))
-        if self.block is not None and len(self.block) != self.n:
-            raise ValidationError(f"{len(self.block)} block labels for {self.n} runs")
-        if self.labels is not None:
-            check_labels(self.labels, self.m, "component labels")
+    def __init__(self, orders: np.ndarray, block: tuple[str, ...] | None = None,
+                 labels: tuple[str, ...] | None = None) -> None:
+        orders = _checked_orders(orders)
+        if block is not None:
+            block = tuple(map(str, block))
+        if labels is not None:
+            labels = tuple(map(str, labels))
+        if block is not None and len(block) != len(orders):
+            raise ValidationError(f"{len(block)} block labels for {len(orders)} runs")
+        if labels is not None:
+            check_labels(labels, orders.shape[1], "component labels")
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_orders(cls, orders, block=None, labels=None) -> "Design":
@@ -97,24 +99,21 @@ class Design:
         return Design(self.orders, None, self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Record):
     """A design together with its observed responses."""
 
-    design: Design
-    response: np.ndarray
+    __slots__ = ("design", "response")
 
-    def __post_init__(self) -> None:
-        y = np.asarray(self.response, dtype=float)
+    def __init__(self, design: Design, response: np.ndarray) -> None:
+        y = np.asarray(response, dtype=float)
         if y.ndim != 1:
             raise ValidationError("response must be a one-dimensional vector")
-        if len(y) != self.design.n:
-            raise ValidationError(
-                f"{len(y)} responses for {self.design.n} runs"
-            )
+        if len(y) != design.n:
+            raise ValidationError(f"{len(y)} responses for {design.n} runs")
         if not np.all(np.isfinite(y)):
             raise ValidationError("responses must all be finite")
         y.setflags(write=False)
+        object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", y)
 
     @property

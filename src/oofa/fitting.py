@@ -20,17 +20,16 @@ are meaningful; the additive constant depends on the convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import RANK_RTOL, Dataset
 from .errors import EstimabilityError, SaturatedModelError, ValidationError
 from .models import DesignMatrix, ModelSpec, order_matrix
+from .records import Record
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
+class FitResult(Record):
     """One fitted model: coefficients, dispersion, information criteria.
 
     ``p_effective`` is the rank of the fitted matrix including any block
@@ -39,25 +38,33 @@ class FitResult:
     criterion fields that stop being defined are ``None``.
     """
 
-    spec: ModelSpec
-    data: Dataset = field(repr=False)
-    term_labels: tuple[str, ...]
-    coefficients: np.ndarray
-    rss: float
-    df_error: int
-    p_effective: int
-    n: int
-    sigma2_hat: float | None
-    rmse: float | None
-    log_lik: float | None
-    aic: float | None
-    bic: float | None
-    xtx_inv: np.ndarray = field(repr=False)
-    n_block_cols: int
+    __slots__ = ("spec", "data", "term_labels", "coefficients", "rss", "df_error",
+                 "p_effective", "n", "sigma2_hat", "rmse", "log_lik", "aic", "bic", "xtx_inv",
+                 "n_block_cols")
+    _unshown = ("data", "xtx_inv")
 
-    def __post_init__(self) -> None:
-        self.coefficients.setflags(write=False)
-        self.xtx_inv.setflags(write=False)
+    def __init__(self, spec: ModelSpec, data: Dataset, term_labels: tuple[str, ...],
+                 coefficients: np.ndarray, rss: float, df_error: int, p_effective: int, n: int,
+                 sigma2_hat: float | None, rmse: float | None, log_lik: float | None,
+                 aic: float | None, bic: float | None, xtx_inv: np.ndarray,
+                 n_block_cols: int) -> None:
+        coefficients.setflags(write=False)
+        xtx_inv.setflags(write=False)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "term_labels", term_labels)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "rss", rss)
+        object.__setattr__(self, "df_error", df_error)
+        object.__setattr__(self, "p_effective", p_effective)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "sigma2_hat", sigma2_hat)
+        object.__setattr__(self, "rmse", rmse)
+        object.__setattr__(self, "log_lik", log_lik)
+        object.__setattr__(self, "aic", aic)
+        object.__setattr__(self, "bic", bic)
+        object.__setattr__(self, "xtx_inv", xtx_inv)
+        object.__setattr__(self, "n_block_cols", n_block_cols)
 
     @property
     def m(self) -> int:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+import os
 from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterator, NamedTuple, Sequence
@@ -65,6 +65,7 @@ import numpy as np
 from .design import Design
 from .errors import EstimabilityError, UnsupportedModelError, ValidationError
 from .perms import Permutation, ascending_tail_orders, order_array
+from .records import Record, ValueRecord
 
 #: Orders per block when the m! orders are walked (:func:`position_blocks`).
 BLOCK_ROWS = 4096
@@ -86,21 +87,21 @@ class TaperKind(str, enum.Enum):
     LINEAR = "linear"
 
 
-@dataclass(frozen=True)
-class Taper:
+class Taper(ValueRecord):
     """Distance-decay function z(h) applied to pairwise-ordering effects."""
 
-    kind: TaperKind
-    ratio: float | None = None
+    __slots__ = ("kind", "ratio")
 
-    def __post_init__(self) -> None:
-        if self.kind is TaperKind.GEOMETRIC:
-            if self.ratio is None or not 0.0 < float(self.ratio) < 1.0:
+    def __init__(self, kind: TaperKind, ratio: float | None = None) -> None:
+        if kind is TaperKind.GEOMETRIC:
+            if ratio is None or not 0.0 < float(ratio) < 1.0:
                 raise ValidationError(
-                    f"geometric taper needs a ratio strictly between 0 and 1, got {self.ratio!r}"
+                    f"geometric taper needs a ratio strictly between 0 and 1, got {ratio!r}"
                 )
-        elif self.ratio is not None:
-            raise ValidationError(f"taper {self.kind.value} takes no ratio")
+        elif ratio is not None:
+            raise ValidationError(f"taper {kind.value} takes no ratio")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ratio", ratio)
 
     @property
     def label(self) -> str:
@@ -109,20 +110,18 @@ class Taper:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(ValueRecord):
     """Which regression family to build, including the taper for TPWO."""
 
-    family: Family
-    taper: Taper | None = None
+    __slots__ = ("family", "taper")
 
-    def __post_init__(self) -> None:
-        if self.family is Family.TPWO and self.taper is None:
-            raise ValidationError(
-                "tpwo needs a taper: invh, geom=<ratio>, or linear"
-            )
-        if self.family is not Family.TPWO and self.taper is not None:
-            raise ValidationError(f"{self.family.value} takes no taper")
+    def __init__(self, family: Family, taper: Taper | None = None) -> None:
+        if family is Family.TPWO and taper is None:
+            raise ValidationError("tpwo needs a taper: invh, geom=<ratio>, or linear")
+        if family is not Family.TPWO and taper is not None:
+            raise ValidationError(f"{family.value} takes no taper")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "taper", taper)
 
     @property
     def include_intercept(self) -> bool:
@@ -139,17 +138,18 @@ class ModelSpec:
         return sum(idx.shape[1] for _, idx in _column_groups(self, m))
 
 
-@dataclass(frozen=True, eq=False)
-class DesignMatrix:
+class DesignMatrix(Record):
     """A built model matrix with its labelled columns."""
 
-    values: np.ndarray
-    term_labels: tuple[str, ...]
-    m: int
-    spec: ModelSpec
+    __slots__ = ("values", "term_labels", "m", "spec")
 
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
+    def __init__(self, values: np.ndarray, term_labels: tuple[str, ...], m: int,
+                 spec: ModelSpec) -> None:
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "term_labels", term_labels)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "spec", spec)
 
     @property
     def n(self) -> int:
@@ -376,6 +376,19 @@ def order_matrix(spec: ModelSpec, orders: np.ndarray) -> DesignMatrix:
     return DesignMatrix(model_rows(spec, _positions(orders)), term_labels(spec, m), m, spec)
 
 
+def split_start(n: int, block: int) -> int | None:
+    """Where :mod:`oofa.split` cuts a walk of ``n`` rows taken ``block`` rows at
+    a time: the first row of the forked child's half, at the block boundary
+    nearest the middle.  None, to walk all the rows in one process, when
+    either process would get fewer than two blocks, or the host lacks
+    ``os.fork`` or ``os.memfd_create``.  Callers import :mod:`oofa.split` only
+    for a walk that this cuts."""
+    blocks = -(-n // block)
+    if blocks < 4 or not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
+        return None
+    return blocks // 2 * block
+
+
 def position_blocks(m: int, start: int = 0, stop: int | None = None
                     ) -> Iterator[tuple[slice, np.ndarray]]:
     """The positions q_c of all m! orders, :data:`BLOCK_ROWS` orders at a
@@ -391,24 +404,29 @@ def position_blocks(m: int, start: int = 0, stop: int | None = None
         yield rows, _positions(order_array(m)[rows])
 
 
-@dataclass(frozen=True, eq=False)
-class MomentOrders:
+class MomentOrders(Record):
     """How to sum a Gram matrix of model rows over all m! orders: see
-    :func:`moment_orders`."""
+    :func:`moment_orders`.
 
-    #: (n, m) positions of the orders to sum over.
-    positions: np.ndarray
-    #: (p, p) flat index of the canonical pair of each entry.
-    canonical: np.ndarray
-    #: How many of all m! orders each order summed over stands for.
-    repeats: int
-    #: (p, p) integers a_i a_j, where column i of the rows built at q_c
-    #: (``standardized`` false) is a_i times the model column: T^d_i for the
-    #: surface families, T = m(m+1)/2 and d_i the degree of column i in the
-    #: positions; lcm(1..m-1) for the tapered columns of tpwo:invh; 1
-    #: otherwise.  A Gram of those rows, over these, is the Gram of the
-    #: model rows.
-    divisor: np.ndarray
+    ``positions``: (n, m) positions of the orders to sum over.
+    ``canonical``: (p, p) flat index of the canonical pair of each entry.
+    ``repeats``: how many of all m! orders each order summed over stands for.
+    ``divisor``: (p, p) integers a_i a_j, where column i of the rows built at
+    q_c (``standardized`` false) is a_i times the model column: T^d_i for the
+    surface families, T = m(m+1)/2 and d_i the degree of column i in the
+    positions; lcm(1..m-1) for the tapered columns of tpwo:invh; 1
+    otherwise.  A Gram of those rows, over these, is the Gram of the model
+    rows.
+    """
+
+    __slots__ = ("positions", "canonical", "repeats", "divisor")
+
+    def __init__(self, positions: np.ndarray, canonical: np.ndarray, repeats: int,
+                 divisor: np.ndarray) -> None:
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "repeats", repeats)
+        object.__setattr__(self, "divisor", divisor)
 
 
 def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:

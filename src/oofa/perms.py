@@ -20,21 +20,20 @@ asserts them to 1e-12 for every permutation up to m = 8.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .errors import CapacityError, ValidationError
+from .records import Record, ValueRecord
 
 #: Hard cap on the component count: downstream modules materialize all m!
 #: orders (40320 rows at m = 8), so larger m is refused outright.
 MAX_COMPONENTS = 8
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(ValueRecord):
     """One ordering of the components 1..m, an adaptor type: the package holds
     orders as int8 arrays (:func:`order_array`, ``Design.orders``).
 
@@ -42,18 +41,17 @@ class Permutation:
     bijection on {1, ..., m}.
     """
 
-    order: tuple[int, ...]
+    __slots__ = ("order",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.order, tuple):
-            object.__setattr__(self, "order", tuple(self.order))
-        m = len(self.order)
+    def __init__(self, order: tuple[int, ...]) -> None:
+        if not isinstance(order, tuple):
+            order = tuple(order)
+        m = len(order)
         if m == 0:
             raise ValidationError("a permutation needs at least one component")
-        if sorted(self.order) != list(range(1, m + 1)):
-            raise ValidationError(
-                f"order {self.order!r} is not a permutation of 1..{m}"
-            )
+        if sorted(order) != list(range(1, m + 1)):
+            raise ValidationError(f"order {order!r} is not a permutation of 1..{m}")
+        object.__setattr__(self, "order", order)
 
     @property
     def m(self) -> int:
@@ -73,11 +71,13 @@ class Permutation:
         return " ".join(labels[c - 1] for c in self.order)
 
 
-@dataclass(frozen=True, eq=False)
-class StdPositions:
+class StdPositions(Record):
     """Standardized positions p_c of one run, indexed by component."""
 
-    p: tuple[float, ...]
+    __slots__ = ("p",)
+
+    def __init__(self, p: tuple[float, ...]) -> None:
+        object.__setattr__(self, "p", p)
 
     @property
     def m(self) -> int:

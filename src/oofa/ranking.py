@@ -8,7 +8,6 @@ so ranks are always a permutation of 1..m!.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
@@ -17,12 +16,12 @@ import numpy as np
 from . import models
 from .errors import EstimabilityError, ValidationError
 from .fitting import FitResult
-from .models import model_rows, position_blocks
+from .models import model_rows, position_blocks, split_start
 from .perms import Permutation, as_permutations, order_array
+from .records import Record
 
 
-@dataclass(frozen=True, eq=False)
-class PredictionTable:
+class PredictionTable(Record):
     """Per-order estimates with conditional standard errors and ranks.
 
     Row i is the order ``orders[i]`` (a (w, m) array of components 1..m).
@@ -31,14 +30,16 @@ class PredictionTable:
     uncertainty does not.
     """
 
-    orders: np.ndarray
-    estimates: np.ndarray
-    std_errors: np.ndarray
-    ranks: np.ndarray
+    __slots__ = ("orders", "estimates", "std_errors", "ranks")
 
-    def __post_init__(self) -> None:
-        for arr in (self.orders, self.estimates, self.std_errors, self.ranks):
+    def __init__(self, orders: np.ndarray, estimates: np.ndarray, std_errors: np.ndarray,
+                 ranks: np.ndarray) -> None:
+        for arr in (orders, estimates, std_errors, ranks):
             arr.setflags(write=False)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "estimates", estimates)
+        object.__setattr__(self, "std_errors", std_errors)
+        object.__setattr__(self, "ranks", ranks)
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -119,12 +120,14 @@ def walk_orders(m: int, fill: Callable, shapes: Sequence[tuple], fork: bool = Fa
     With ``fork``, a forked child process may fill the second half: see
     :mod:`oofa.split`.
     """
-    if fork:
+    n = factorial(m)
+    start = split_start(n, models.BLOCK_ROWS) if fork else None
+    if start is not None:
         from .split import walk
 
-        return walk(fill, factorial(m), models.BLOCK_ROWS, shapes)
-    arrays = [np.empty((*shape, factorial(m))) for shape in shapes]
-    fill(arrays, 0, factorial(m))
+        return walk(fill, n, start, shapes)
+    arrays = [np.empty((*shape, n)) for shape in shapes]
+    fill(arrays, 0, n)
     return arrays
 
 

@@ -32,7 +32,6 @@ estimable, in chunks capped by bytes so memory stays bounded whatever N is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
@@ -49,6 +48,7 @@ from .design import Design
 from .errors import SearchFailureError, ValidationError
 from .models import full_factorial_matrix
 from .perms import MAX_COMPONENTS, check_capacity, order_array
+from .records import Record, ValueRecord
 
 #: Bytes for one chunk of exact scoring, counted as its gathered (rows, N, p)
 #: matrices plus one (rows, p, p) factor, in float64; the thin SVD's own
@@ -72,43 +72,47 @@ _DELTA_TOL = 1e-9
 _TIE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(ValueRecord):
     """Inputs of one search: problem size, objective, and restart schedule."""
 
-    m: int
-    n_runs: int
-    objective: CompoundSpec
-    restarts: int = 10
-    seed: int = 0
-    max_passes: int = 50
+    __slots__ = ("m", "n_runs", "objective", "restarts", "seed", "max_passes")
 
-    def __post_init__(self) -> None:
-        check_capacity(self.m)
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_passes < 1:
-            raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.n_runs > MAX_RUNS:
-            raise ValidationError(f"n_runs must be <= {MAX_RUNS}, got {self.n_runs}")
-        p_max = self.objective.max_param_count(self.m)
-        if self.n_runs < p_max:
+    def __init__(self, m: int, n_runs: int, objective: CompoundSpec, restarts: int = 10,
+                 seed: int = 0, max_passes: int = 50) -> None:
+        check_capacity(m)
+        if restarts < 1:
+            raise ValidationError(f"restarts must be >= 1, got {restarts}")
+        if max_passes < 1:
+            raise ValidationError(f"max_passes must be >= 1, got {max_passes}")
+        if seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {seed}")
+        if n_runs > MAX_RUNS:
+            raise ValidationError(f"n_runs must be <= {MAX_RUNS}, got {n_runs}")
+        p_max = objective.max_param_count(m)
+        if n_runs < p_max:
             raise ValidationError(
-                f"{self.n_runs} runs cannot estimate a model with {p_max} "
-                f"parameters; increase n_runs"
+                f"{n_runs} runs cannot estimate a model with {p_max} parameters; increase n_runs"
             )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n_runs", n_runs)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "restarts", restarts)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_passes", max_passes)
 
 
-@dataclass(frozen=True, eq=False)
-class SearchResult:
-    design: Design
-    objective: float
-    member_values: tuple[float, ...]
-    objective_trace: tuple[float, ...]
-    restart: int
-    config: SearchConfig = field(repr=False)
+class SearchResult(Record):
+    __slots__ = ("design", "objective", "member_values", "objective_trace", "restart", "config")
+    _unshown = ("config",)
+
+    def __init__(self, design: Design, objective: float, member_values: tuple[float, ...],
+                 objective_trace: tuple[float, ...], restart: int, config: SearchConfig) -> None:
+        object.__setattr__(self, "design", design)
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "member_values", member_values)
+        object.__setattr__(self, "objective_trace", objective_trace)
+        object.__setattr__(self, "restart", restart)
+        object.__setattr__(self, "config", config)
 
     @property
     def seed(self) -> int:

@@ -2,17 +2,19 @@
 
 A request run by ``cli.run`` owns its whole process, so it may fork.  A
 walk of the m! orders (:func:`walk`) or a table (:func:`write`) of at least
-four blocks is cut at the block boundary nearest its middle: a forked child
-does the second half while this process does the first, on the host's other
-core.  Both halves run the per-block code of the serial path, over the same
-blocks, so every output byte is the same.  The child hands its half back
-through memory both processes share: the walk's output arrays live in
-anonymous shared mappings made before the fork, and the table's second half
-is text in a memfd file, which this process copies out after its own half.
-Shorter walks and tables, and hosts without ``os.fork`` or
-``os.memfd_create``, stay in one process.  Library calls never come here:
-``predict_all``, ``average_predictions`` and ``write_table`` fork only when
-the caller passes ``fork=True``, as the CLI does from ``cli.run`` alone.
+four blocks is cut at the block boundary nearest its middle
+(:func:`~oofa.models.split_start`): a forked child does the second half
+while this process does the first, on the host's other core.  Both halves
+run the per-block code of the serial path, over the same blocks, so every
+output byte is the same.  The child hands its half back through memory both
+processes share: the walk's output arrays live in anonymous shared mappings
+made before the fork, and the table's second half is text in a memfd file,
+which this process copies out after its own half.  Shorter walks and
+tables, tables written to a stream without a binary buffer, and hosts
+without ``os.fork`` or ``os.memfd_create`` stay in one process and never
+import this module.  Library calls never come here: ``predict_all``,
+``average_predictions`` and ``write_table`` fork only when the caller
+passes ``fork=True``, as the CLI does from ``cli.run`` alone.
 
 A process rather than a thread: a thread walked the orders as fast, but
 glibc gives each thread its own heap arena, which raised the peak resident
@@ -32,40 +34,20 @@ import numpy as np
 from .errors import OofaError
 
 
-def _child_start(n: int, block: int) -> int | None:
-    """The first row of the child's half of ``n`` rows walked ``block`` rows at
-    a time, or None to walk them all here: when either process would get
-    fewer than two blocks, or the host lacks ``os.fork`` or
-    ``os.memfd_create``."""
-    blocks = -(-n // block)
-    if blocks < 4 or not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
-        return None
-    return blocks // 2 * block
-
-
-def walk(fill: Callable, n: int, block: int, shapes: Sequence[tuple]) -> list[np.ndarray]:
+def walk(fill: Callable, n: int, start: int, shapes: Sequence[tuple]) -> list[np.ndarray]:
     """One float array of shape ``(*shape, n)`` per shape in ``shapes``, filled
-    by ``fill(arrays, start, stop)``, which fills rows start..stop of each
-    from the ``block``-row blocks that begin there."""
-    start = _child_start(n, block)
-    if start is None:
-        arrays = [np.empty((*shape, n)) for shape in shapes]
-        fill(arrays, 0, n)
-        return arrays
+    by ``fill(arrays, begin, stop)``, which fills rows begin..stop of each
+    from the blocks that begin there; a forked child fills rows start..n."""
     arrays = [np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape) * n)).reshape(*shape, n)
               for shape in shapes]  # float64, in mappings the child shares
     _in_halves(lambda: fill(arrays, 0, start), lambda: fill(arrays, start, n))
     return arrays
 
 
-def write(stream: IO[str], write_rows: Callable, n: int, block: int) -> None:
-    """Write rows 0..n of a table to the text ``stream`` with
-    ``write_rows(stream, start, stop)``, which writes the ``block``-row blocks
-    that begin there."""
-    start = _child_start(n, block)
-    if start is None or not hasattr(stream, "buffer"):
-        write_rows(stream, 0, n)
-        return
+def write(stream: IO[str], write_rows: Callable, n: int, start: int) -> None:
+    """Write rows 0..n of a table to the text ``stream``, which has a binary
+    ``buffer``, with ``write_rows(stream, begin, stop)``, which writes the
+    blocks that begin there; a forked child formats rows start..n."""
     fd = os.memfd_create("oofa-table")
     try:
         _in_halves(lambda: write_rows(stream, 0, start),

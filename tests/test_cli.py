@@ -317,9 +317,9 @@ def test_no_command_builds_permutation_objects(capsys, monkeypatch, m3_csv, m4_c
                                                pwo_fit_json, tmp_path):
     """Every command works on order arrays: Permutation is an adaptor type."""
     built = []
-    original = oofa.Permutation.__post_init__
-    monkeypatch.setattr(oofa.Permutation, "__post_init__",
-                        lambda self: built.append(self) or original(self))
+    original = oofa.Permutation.__init__
+    monkeypatch.setattr(oofa.Permutation, "__init__",
+                        lambda self, order: built.append(self) or original(self, order))
     assert oofa.Permutation((2, 1)) and len(built) == 1  # the count sees a construction
     before = enumerate_permutations.cache_info()
     commands = {
@@ -863,6 +863,34 @@ def test_overflowing_criterion_value_fails_numerically(capsys, full_factorial_m4
         lines = err.splitlines()
         assert len(lines) == 2 and lines[0].startswith("# config:")
         assert lines[1].startswith("oofa: error: EstimabilityError: criterion d with sigma2 = 1e+308")
+
+
+@pytest.mark.parametrize("sigma2", ["1e-320", "5e-324"])
+@pytest.mark.parametrize("criterion", ["apv", "av", "a"])
+def test_subnormal_criterion_value_fails_numerically(capsys, m4_csv, criterion, sigma2):
+    """A value below the smallest normal float has lost digits, all of them once
+    it underflows to 0: at sigma2 = 1e-320 the apv of this design would print as
+    5.21733322008e-321, not 5.21739130435e-321, and at 5e-324 as 0."""
+    for argv in (
+        ["criteria", "--design", m4_csv, "--models", "pwo", "--criterion", criterion],
+        ["design", "--m", "4", "--runs", "12", "--models", "pwo", "--criterion", criterion,
+         "--restarts", "1", "--seed", "1"],
+    ):
+        rc, out, err = run_cli(capsys, *argv, "--sigma2", sigma2)
+        assert rc == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("# config:")
+        assert lines[1].startswith(
+            f"oofa: error: EstimabilityError: criterion {criterion} with sigma2 = {sigma2} "
+        )
+
+
+def test_small_normal_criterion_value_keeps_its_digits(capsys, m4_csv):
+    argv = ["--design", m4_csv, "--models", "pwo", "--criterion", "apv"]
+    rc, out, _ = run_cli(capsys, "criteria", *argv, "--sigma2", "1e-300")
+    assert rc == 0 and out.splitlines()[1] == "pwo,apv,5.21739130435e-301,min"
+    rc, out, _ = run_cli(capsys, "criteria", *argv)
+    assert rc == 0 and out.splitlines()[1] == "pwo,apv,0.521739130435,min"
 
 
 def test_design_too_few_runs(capsys):

@@ -1,6 +1,5 @@
 """Design criteria: apv, av, A, D, orthogonal coding, compound objectives."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -223,7 +222,7 @@ def test_rank_deficient_design_raises():
 
 def test_duplicating_runs_halves_a_doubles_d():
     design = _estimable_design("pwo", 3, 8, 21)
-    doubled = dataclasses.replace(design, orders=np.vstack([design.orders, design.orders]))
+    doubled = Design(np.vstack([design.orders, design.orders]), design.block, design.labels)
     spec = parse_model("pwo")
     assert a_criterion(spec, doubled) == pytest.approx(
         a_criterion(spec, design) / 2.0, rel=1e-12
@@ -333,7 +332,7 @@ def test_information_monotonicity():
     spec = parse_model("pwo")
     design = _estimable_design("pwo", 3, 8, 41)
     extra = order_array(3)[2]
-    grown = dataclasses.replace(design, orders=np.vstack([design.orders, extra]))
+    grown = Design(np.vstack([design.orders, extra]), design.block, design.labels)
     assert apv(spec, grown) <= apv(spec, design) + 1e-12
     assert av(spec, grown) <= av(spec, design) + 1e-12
     assert a_criterion(spec, grown) <= a_criterion(spec, design) + 1e-12

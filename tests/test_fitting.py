@@ -1,6 +1,5 @@
 """Least-squares fitting, information criteria, and Akaike weights."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +12,7 @@ from oofa import (
     Dataset,
     Design,
     EstimabilityError,
+    FitResult,
     SaturatedModelError,
     ValidationError,
     akaike_weights,
@@ -88,7 +88,9 @@ def test_saturated_fit_flags_unavailable(m3_dataset):
 
 def test_exact_fit_flags_unavailable(m3_dataset):
     fit = ols_fit(parse_model("pwo"), m3_dataset)
-    exact = dataclasses.replace(fit, rss=0.0, aic=None, bic=None)
+    exact = FitResult(fit.spec, fit.data, fit.term_labels, fit.coefficients, 0.0, fit.df_error,
+                      fit.p_effective, fit.n, fit.sigma2_hat, fit.rmse, fit.log_lik, None, None,
+                      fit.xtx_inv, fit.n_block_cols)
     with pytest.raises(SaturatedModelError, match="exactly"):
         information_criteria(exact)
     assert information_criteria(fit) == (fit.aic, fit.bic)
@@ -98,7 +100,7 @@ def test_rank_deficient_names_dependent_columns():
     # three distinct runs repeated twice: n = 6 >= p = 5 but rank is 3
     design = random_design(3, 3, seed=5)
     doubled = Dataset(
-        dataclasses.replace(design, orders=np.vstack([design.orders, design.orders])),
+        Design(np.vstack([design.orders, design.orders]), design.block, design.labels),
         np.arange(6.0),
     )
     with pytest.raises(EstimabilityError) as err:
@@ -163,7 +165,7 @@ def test_dependent_columns_leave_a_full_rank_matrix(label):
 
 def test_underdetermined_raises(m3_dataset):
     small = Dataset(
-        dataclasses.replace(m3_dataset.design, orders=m3_dataset.design.orders[:3]),
+        Design(m3_dataset.design.orders[:3], m3_dataset.design.block, m3_dataset.design.labels),
         m3_dataset.response[:3],
     )
     with pytest.raises(EstimabilityError):

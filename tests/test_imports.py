@@ -34,7 +34,7 @@ EXPORTED = {
 }
 
 #: Submodules every command loads: what reading or writing a table needs.
-BASE = {"cli", "errors", "perms", "design", "models", "dataio"}
+BASE = {"cli", "errors", "records", "perms", "design", "models", "dataio"}
 FIT = BASE | {"fitting"}
 
 #: (argv, the ``oofa.*`` submodules the command loads and no others); ``{data}``
@@ -55,13 +55,16 @@ COMMANDS = {
                 FIT | {"ranking", "averaging"}),
 }
 
-#: Runs ``cli.main`` on the JSON argv in ``sys.argv[1]``, then prints the exit
-#: code and the package modules loaded, with the command's output discarded.
+#: Runs ``cli.main`` on the JSON argv in ``sys.argv[1]`` with the JSON ``fork``
+#: in ``sys.argv[2]``, then prints the exit code and the package modules
+#: loaded.  The command writes to a file, as ``cli.run`` does, which is
+#: discarded.  ``dataclasses`` cannot be imported: no request needs it.
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, json, os, sys
+sys.modules["dataclasses"] = None
 from oofa.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(json.loads(sys.argv[1]), fork=json.loads(sys.argv[2]))
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "oofa")]))
 """
 
@@ -95,13 +98,36 @@ def _command_argv(command, data_dir, tmp_path, capsys):
     return [arg.format(data=data_dir, tmp=tmp_path) for arg in COMMANDS[command][0]]
 
 
+def _loaded_modules(argv, fork):
+    """The ``oofa`` modules a request loads, run by ``main`` with ``fork``
+    without ``dataclasses``; the request must succeed."""
+    code, loaded = _run(PROBE, json.dumps(argv), json.dumps(fork))
+    assert code == 0
+    return set(loaded)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_command_loads_only_its_modules(command, data_dir, tmp_path, capsys):
     argv = _command_argv(command, data_dir, tmp_path, capsys)
     expected = COMMANDS[command][1]
-    code, loaded = _run(PROBE, json.dumps(argv))
-    assert code == 0
-    assert set(loaded) == {"oofa"} | {f"oofa.{name}" for name in expected}
+    assert _loaded_modules(argv, False) == {"oofa"} | {f"oofa.{name}" for name in expected}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_forking_command_loads_only_its_modules(command, data_dir, tmp_path, capsys):
+    """As ``cli.run`` calls ``main``: with ``fork``, a request whose walks and
+    tables are too short to split never loads ``oofa.split``."""
+    argv = _command_argv(command, data_dir, tmp_path, capsys)
+    expected = COMMANDS[command][1]
+    assert _loaded_modules(argv, True) == {"oofa"} | {f"oofa.{name}" for name in expected}
+
+
+def test_a_table_that_splits_loads_split():
+    """The 5,040-row table is five blocks long, so with ``fork`` it is split;
+    without, it is not."""
+    argv = ["enumerate", "--m", "7"]
+    assert _loaded_modules(argv, True) == {"oofa"} | {f"oofa.{name}" for name in BASE | {"split"}}
+    assert _loaded_modules(argv, False) == {"oofa"} | {f"oofa.{name}" for name in BASE}
 
 
 def test_every_subcommand_is_probed():

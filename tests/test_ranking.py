@@ -1,13 +1,13 @@
 """Ranked best-order prediction tables."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from oofa import (
     Dataset,
+    Design,
     EstimabilityError,
+    FitResult,
     ValidationError,
     full_factorial_matrix,
     ols_fit,
@@ -85,9 +85,8 @@ def test_ranks_invariant_under_reparameterization(m3_dataset):
 def test_pwo_mirror_property(m3_dataset):
     """Reversing the runs mirrors the whole prediction table."""
     fit = ols_fit(parse_model("pwo"), m3_dataset)
-    mirrored_design = dataclasses.replace(
-        m3_dataset.design, orders=m3_dataset.design.orders[:, ::-1]
-    )
+    mirrored_design = Design(m3_dataset.design.orders[:, ::-1], m3_dataset.design.block,
+                             m3_dataset.design.labels)
     mirrored_fit = ols_fit(parse_model("pwo"),
                            Dataset(mirrored_design, m3_dataset.response))
     table = predict_all(fit)
@@ -106,7 +105,9 @@ def test_predict_rows_validates_width(m3_dataset):
 
 def test_predict_rows_overflow_is_an_estimability_error(m3_dataset):
     fit = ols_fit(parse_model("pwo"), m3_dataset)
-    huge = dataclasses.replace(fit, coefficients=np.full(len(fit.coefficients), 1e308))
+    huge = FitResult(fit.spec, fit.data, fit.term_labels, np.full(len(fit.coefficients), 1e308),
+                     fit.rss, fit.df_error, fit.p_effective, fit.n, fit.sigma2_hat, fit.rmse,
+                     fit.log_lik, fit.aic, fit.bic, fit.xtx_inv, fit.n_block_cols)
     message = ("predictions of model pwo overflow; rescale y, for example divide it "
                "by a power of ten")
     with pytest.raises(EstimabilityError) as caught:
