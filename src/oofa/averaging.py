@@ -124,8 +124,8 @@ def average_predictions(candidates: CandidateSet, fork: bool = False) -> Average
     The orders are walked once (:func:`~oofa.ranking.predict_factorial`) and
     each block of predictions is combined as it arrives, so only the (K, m!)
     estimates and the m!-long results are kept.  With ``fork``, a forked
-    child process may walk the second half of the orders: see
-    :mod:`oofa.split`.
+    child process may walk the second half of the orders of two or more
+    models: see :mod:`oofa.split`.
     """
     m, weights = candidates.fits[0].m, np.array(candidates.weights)
 
@@ -135,7 +135,8 @@ def average_predictions(candidates: CandidateSet, fork: bool = False) -> Average
             model_est[:, rows] = est
             avg[rows], var[rows] = combine_predictions(est, cvar, weights)
 
-    model_est, avg, var = walk_orders(m, fill, [(len(candidates.fits),), (), ()], fork)
+    k = len(candidates.fits)
+    model_est, avg, var = walk_orders(m, fill, [(k,), (), ()], fork and k > 1)
     model_ranks = np.empty(model_est.shape, dtype=int)
     for ranks, est in zip(model_ranks, model_est):
         ranks[:] = rank_descending(est)

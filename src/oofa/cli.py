@@ -194,7 +194,7 @@ def _cmd_average(args: argparse.Namespace) -> None:
         for fit, est, ranks in zip(candidates.fits, averaged.model_estimates, averaged.model_ranks)
     }
     for fit in display_only:
-        table = predict_all(fit, args.fork)
+        table = predict_all(fit)
         predicted[id(fit)] = (table.estimates, table.ranks)
     per_model = [(fit.spec.label, *predicted[id(fit)]) for fit in fits]
 
@@ -222,7 +222,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
         except ValueError as exc:  # invalid JSON or invalid UTF-8
             raise ParseError(f"{args.fit} is not a JSON fit file: {exc}") from None
     fit = fit_from_dict(payload)
-    table = predict_all(fit, args.fork)
+    table = predict_all(fit)
     if args.minimize:
         table = PredictionTable(
             table.orders, table.estimates, table.std_errors, rank_descending(-table.estimates)

@@ -380,11 +380,14 @@ def split_start(n: int, block: int) -> int | None:
     """Where :mod:`oofa.split` cuts a walk of ``n`` rows taken ``block`` rows at
     a time: the first row of the forked child's half, at the block boundary
     nearest the middle.  None, to walk all the rows in one process, when
-    either process would get fewer than two blocks, or the host lacks
-    ``os.fork`` or ``os.memfd_create``.  Callers import :mod:`oofa.split` only
-    for a walk that this cuts."""
+    either process would get fewer than two blocks, the host lacks
+    ``os.fork`` or ``os.memfd_create``, or this process may run on one CPU
+    only, where the two halves would take turns.  Callers import
+    :mod:`oofa.split` only for a walk that this cuts."""
     blocks = -(-n // block)
     if blocks < 4 or not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
+        return None
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
         return None
     return blocks // 2 * block
 

@@ -118,7 +118,9 @@ def walk_orders(m: int, fill: Callable, shapes: Sequence[tuple], fork: bool = Fa
     filled by ``fill(arrays, start, stop)``, which fills rows start..stop of
     each from :func:`~oofa.models.position_blocks` ``(m, start, stop)``.
     With ``fork``, a forked child process may fill the second half: see
-    :mod:`oofa.split`.
+    :mod:`oofa.split`.  Only a walk that predicts several models asks for
+    it: one model's m = 8 walk takes about 20 ms, too little to repay the
+    fork and the copy-on-write faults that follow it.
     """
     n = factorial(m)
     start = split_start(n, models.BLOCK_ROWS) if fork else None
@@ -131,18 +133,14 @@ def walk_orders(m: int, fill: Callable, shapes: Sequence[tuple], fork: bool = Fa
     return arrays
 
 
-def predict_all(fit: FitResult, fork: bool = False) -> PredictionTable:
-    """Evaluate the fit at every one of the m! orders, in lexicographic order.
-
-    With ``fork``, a forked child process may walk the second half of the
-    orders: see :mod:`oofa.split`.
-    """
+def predict_all(fit: FitResult) -> PredictionTable:
+    """Evaluate the fit at every one of the m! orders, in lexicographic order."""
     def fill(arrays, start, stop):
         est, var = arrays
         for rows, block_est, block_var in predict_factorial([fit], start, stop):
             est[rows], var[rows] = block_est[0], block_var[0]
 
-    est, var = walk_orders(fit.m, fill, [(), ()], fork)
+    est, var = walk_orders(fit.m, fill, [(), ()])
     return PredictionTable(order_array(fit.m), est, np.sqrt(var), rank_descending(est))
 
 

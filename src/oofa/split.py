@@ -4,17 +4,20 @@ A request run by ``cli.run`` owns its whole process, so it may fork.  A
 walk of the m! orders (:func:`walk`) or a table (:func:`write`) of at least
 four blocks is cut at the block boundary nearest its middle
 (:func:`~oofa.models.split_start`): a forked child does the second half
-while this process does the first, on the host's other core.  Both halves
-run the per-block code of the serial path, over the same blocks, so every
-output byte is the same.  The child hands its half back through memory both
-processes share: the walk's output arrays live in anonymous shared mappings
-made before the fork, and the table's second half is text in a memfd file,
-which this process copies out after its own half.  Shorter walks and
-tables, tables written to a stream without a binary buffer, and hosts
-without ``os.fork`` or ``os.memfd_create`` stay in one process and never
-import this module.  Library calls never come here: ``predict_all``,
-``average_predictions`` and ``write_table`` fork only when the caller
-passes ``fork=True``, as the CLI does from ``cli.run`` alone.
+while this process does the first.  The child starts on a CPU other than
+the one this process is running on (:func:`_move_off`), so the halves run
+on two cores.  Both halves run the per-block code of the serial path, over
+the same blocks, so every output byte is the same.  The child hands its
+half back through memory both processes share: the walk's output arrays
+live in anonymous shared mappings made before the fork, and the table's
+second half is text in a memfd file, which this process copies out after
+its own half.  Shorter walks and tables, the prediction walk of a single
+model, tables written to a stream without a binary buffer, processes that
+may run on one CPU only, and hosts without ``os.fork`` or
+``os.memfd_create`` stay in one process and never import this module.
+Library calls never come here: ``average_predictions`` and
+``write_table`` fork only when the caller passes ``fork=True``, as the CLI
+does from ``cli.run`` alone.
 
 A process rather than a thread: a thread walked the orders as fast, but
 glibc gives each thread its own heap arena, which raised the peak resident
@@ -78,6 +81,7 @@ def _in_halves(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
     :class:`~oofa.errors.OofaError`.  If ``mine`` raises, the child is killed;
     it is reaped in every case.  Where the fork fails, ``theirs`` runs here.
     """
+    cpus = _cpus()
     report_in, report_out = os.pipe()
     try:
         pid = os.fork()
@@ -88,7 +92,7 @@ def _in_halves(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
         theirs()
         return
     if pid == 0:
-        _child(theirs, report_out)
+        _child(theirs, report_out, cpus)
     os.close(report_out)
     ended = False
     try:
@@ -107,12 +111,42 @@ def _in_halves(mine: Callable[[], None], theirs: Callable[[], None]) -> None:
         raise _child_error(report, status)
 
 
-def _child(work: Callable[[], None], report: int) -> NoReturn:
-    """The forked child: run ``work``, write what it raises, pickled, to the
-    pipe ``report``, and end without flushing or tearing down anything it
-    shares with its parent."""
+def _cpus() -> tuple[set[int], int] | None:
+    """The CPUs this process may run on and the one it runs on now (the
+    ``processor`` field, field 39 of ``/proc/self/stat``), or None where
+    either cannot be read."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        with open("/proc/self/stat", "rb") as stat:
+            # field 2, the command name, may hold spaces: count from the ")" that ends it
+            return allowed, int(stat.read().rpartition(b")")[2].split()[36])
+    except (AttributeError, OSError, ValueError, IndexError):
+        return None
+
+
+def _move_off(allowed: set[int], here: int) -> None:
+    """Move the forked child off the CPU ``here`` that its parent was running
+    on, then hand it back the ``allowed`` mask it inherited, so the kernel
+    may still balance it.  Left on the parent's CPU, as the kernel often
+    leaves a fresh child, the two halves would take turns on one core.
+    Where the affinity cannot be set, the child stays where it is."""
+    try:
+        os.sched_setaffinity(0, allowed - {here})
+        os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):
+        pass
+
+
+def _child(work: Callable[[], None], report: int, cpus: tuple[set[int], int] | None
+           ) -> NoReturn:
+    """The forked child: move off its parent's CPU (``cpus``, from
+    :func:`_cpus`), run ``work``, write what it raises, pickled, to the pipe
+    ``report``, and end without flushing or tearing down anything it shares
+    with its parent."""
     code = 1
     try:
+        if cpus is not None:
+            _move_off(*cpus)
         work()
         code = 0
     except BaseException as exc:  # the parent raises it; this process ends below

@@ -6,7 +6,9 @@ never forks.  Each request here runs through ``cli.run`` in a subprocess
 whose ``os.fork`` is wrapped to log each child, or to make the child fail,
 and then must match the serial output of ``main`` byte for byte, or end in
 one ``oofa: error:`` line.  Every subprocess runs in its own process group,
-which must be empty once it has ended: no child outlives its request.
+which must be empty once it has ended: no child outlives its request.  The
+child's move off its parent's CPU is checked from the calls it makes, not
+from where the scheduler happens to run it.
 """
 
 import contextlib
@@ -19,24 +21,44 @@ import numpy as np
 import pytest
 
 import oofa
-from oofa import Dataset, Design, build_matrix, parse_model, write_design
+from oofa import Dataset, Design, build_matrix, parse_model, split, write_design
 from oofa.cli import main
 from oofa.perms import order_array
 
 #: Runs ``cli.run`` on ``sys.argv[3:]`` with ``os.fork`` wrapped: each child's
 #: pid is logged to the file ``sys.argv[2]``, and ``sys.argv[1]`` says what
-#: else happens: nothing ("log"), the fork fails ("busy"), or the child exits
-#: with status 3 ("exit"), is killed ("signal") or raises in its half ("raise").
+#: else happens: nothing ("log"), the fork fails ("busy"), the child exits
+#: with status 3 ("exit"), is killed ("signal") or raises in its half
+#: ("raise"), or the child's ``os.sched_setaffinity`` raises ("deny") or is
+#: missing ("missing").  With "place", the file ``sys.argv[2] + ".cpus"``
+#: gets a line ``fork <allowed CPUs> <CPU>`` for what ``split._cpus`` reads
+#: before each fork, and a line ``set <CPUs>`` for each affinity the child sets.
 RUN_SCRIPT = """
 import os, signal, sys
-from oofa import cli, dataio, ranking
+from oofa import cli, dataio, ranking, split
 from oofa.errors import EstimabilityError
 
 mode, log, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
-real_fork = os.fork
+real_fork, real_cpus = os.fork, split._cpus
+real_setaffinity = getattr(os, "sched_setaffinity", None)
 
 def boom(*args, **kwargs):
     raise EstimabilityError("boom in the child")
+
+def place(line):
+    with open(log + ".cpus", "a") as handle:
+        handle.write(line + "\\n")
+
+def cpus():
+    allowed, here = real_cpus()
+    place(f"fork {','.join(map(str, sorted(allowed)))} {here}")
+    return allowed, here
+
+def setaffinity(pid, cpus):
+    if mode == "deny":
+        raise PermissionError(1, "Operation not permitted")
+    place(f"set {','.join(map(str, sorted(cpus)))}")
+    real_setaffinity(pid, cpus)
 
 def fork():
     if mode == "busy":
@@ -54,16 +76,25 @@ def fork():
     return pid
 
 os.fork = fork
+if mode == "place":
+    split._cpus = cpus
+if mode in ("place", "deny"):
+    os.sched_setaffinity = setaffinity
+elif mode == "missing":
+    del os.sched_setaffinity
 cli.run(argv)
 """
 
-#: (argv, children forked): the prediction walk and the table each fork once
-#: at m = 8; a 100-row table and a walk of five 4,096-order blocks do not.
+#: (argv, children forked): at m = 8 the table forks once, and so does the
+#: prediction walk of two or more models; a single model's walk, a 100-row
+#: table and a walk of five 4,096-order blocks do not.
 REQUESTS = {
-    "predict": (["predict", "--fit", "{pwo}"], 2),
-    "predict-json": (["predict", "--fit", "{pwo}", "--format", "json"], 2),
-    "predict-top": (["predict", "--fit", "{pwo}", "--top", "100"], 1),
+    "predict": (["predict", "--fit", "{pwo}"], 1),
+    "predict-json": (["predict", "--fit", "{pwo}", "--format", "json"], 1),
+    "predict-top": (["predict", "--fit", "{pwo}", "--top", "100"], 0),
     "average": (["average", "--data", "{data}", "--models", "pwo,cp,nn"], 2),
+    "average-top": (["average", "--data", "{data}", "--models", "pwo,cp,nn", "--top", "100"],
+                    1),
     "average-quoted-json": (["average", "--data", "{quoted}", "--models", "pwo,rs2",
                              "--format", "json"], 2),
     "enumerate": (["enumerate", "--m", "8"], 1),
@@ -111,13 +142,13 @@ def _serial(argv):
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def _split(mode, argv, log):
+def _split(mode, argv, log, preexec_fn=None):
     """(exit code, stdout, stderr) of the request through ``cli.run`` in a
     subprocess of its own process group, which must be empty once the
     request has ended."""
     proc = subprocess.Popen([sys.executable, "-c", RUN_SCRIPT, mode, str(log), *argv], env=_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)
+                            start_new_session=True, preexec_fn=preexec_fn)
     try:
         out, err = proc.communicate(timeout=120)
     finally:
@@ -165,7 +196,7 @@ def test_a_failed_fork_walks_and_writes_in_one_process(name, files, tmp_path):
     ("signal", "OofaError: the forked half of the request ended with signal 9"),
     ("raise", "EstimabilityError: boom in the child"),
 ])
-@pytest.mark.parametrize("name", ["predict-top", "enumerate"])  # the walk, the table
+@pytest.mark.parametrize("name", ["average-top", "enumerate"])  # the walk, the table
 def test_a_failing_child_is_one_error_line(name, mode, error, files, tmp_path):
     log = tmp_path / "children"
     code, _, stderr = _split(mode, _argv(name, files), log)
@@ -194,4 +225,63 @@ def test_an_early_closing_reader_is_one_error_line(name, files, tmp_path):
     _assert_group_empty(proc.pid)
     assert code == 2, stderr
     assert _error_lines(stderr) == ["oofa: error: BrokenPipeError: [Errno 32] Broken pipe"]
-    assert len(_children(log)) == 2
+    assert len(_children(log)) == REQUESTS[name][1]
+
+
+#: where the child can be moved: the affinity can be set and two CPUs are allowed
+placeable = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and two allowed CPUs")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("name", ["average", "predict"])
+def test_a_request_on_one_cpu_forks_no_child(name, files, tmp_path):
+    argv = _argv(name, files)
+    log = tmp_path / "children"
+    one_cpu = min(os.sched_getaffinity(0))
+    assert _split("log", argv, log,
+                  preexec_fn=lambda: os.sched_setaffinity(0, {one_cpu})) == _serial(argv)
+    assert _children(log) == []
+
+
+@placeable
+def test_split_cpus_reads_the_cpu_this_process_runs_on():
+    allowed = os.sched_getaffinity(0)
+    try:
+        for cpu in sorted(allowed):
+            os.sched_setaffinity(0, {cpu})  # returns once this thread runs on ``cpu``
+            assert split._cpus() == ({cpu}, cpu)
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+@placeable
+def test_the_child_starts_off_the_requests_cpu_and_gets_its_mask_back(files, tmp_path):
+    """Each child's first affinity leaves out the CPU its parent ran on at
+    the fork, and its last is the mask it inherited."""
+    argv = _argv("average", files)
+    log = tmp_path / "children"
+    assert _split("place", argv, log) == _serial(argv)
+    forks = []
+    for line in (tmp_path / "children.cpus").read_text().splitlines():
+        kind, *fields = line.split()
+        if kind == "fork":
+            forks.append(({int(cpu) for cpu in fields[0].split(",")}, int(fields[1]), []))
+        else:
+            forks[-1][2].append({int(cpu) for cpu in fields[0].split(",")})
+    assert len(forks) == len(_children(log)) == REQUESTS["average"][1]
+    for allowed, here, calls in forks:
+        assert here in allowed
+        assert calls[0] == allowed - {here}
+        assert calls[-1] == allowed
+
+
+@placeable
+@pytest.mark.parametrize("mode", ["deny", "missing"])
+@pytest.mark.parametrize("name", ["average", "predict"])
+def test_a_child_that_cannot_move_runs_where_it_starts(name, mode, files, tmp_path):
+    argv = _argv(name, files)
+    log = tmp_path / "children"
+    assert _split(mode, argv, log) == _serial(argv)
+    assert len(_children(log)) == REQUESTS[name][1]
