@@ -137,10 +137,11 @@ def average_predictions(candidates: CandidateSet, fork: bool = False) -> Average
 
     k = len(candidates.fits)
     model_est, avg, var = walk_orders(m, fill, [(k,), (), ()], fork and k > 1)
-    model_ranks = np.empty(model_est.shape, dtype=int)
+    # The ranks are written in place, and one scratch array serves every
+    # rank's sort keys and then takes the standard errors.
+    model_ranks, scratch = np.empty(model_est.shape, dtype=int), np.empty(len(avg))
     for ranks, est in zip(model_ranks, model_est):
-        ranks[:] = rank_descending(est)
-    return AveragedPrediction(
-        order_array(m), avg, var, np.sqrt(var), rank_descending(avg),
-        model_est, model_ranks,
-    )
+        rank_descending(est, ranks, scratch)
+    ranks = rank_descending(avg, key=scratch)
+    return AveragedPrediction(order_array(m), avg, var, np.sqrt(var, out=scratch), ranks,
+                              model_est, model_ranks)

@@ -122,9 +122,9 @@ def order_array(m: int) -> np.ndarray:
     """
     check_capacity(m)
     # Built in intp, np.take's index type, and narrowed once.  Built in int8, the
-    # m = 8 `average` request took 30k minor page faults instead of 8k and 10 %
-    # longer: without this early 2.6 MB temporary, glibc trims and re-grows its
-    # heap between the blocks of model rows.
+    # m = 8 `average` request took 39k minor page faults instead of 11k and 10 %
+    # longer (1,024-order blocks): without this early 2.6 MB temporary, glibc
+    # trims and re-grows its heap between the blocks of model rows.
     orders = ascending_tail_orders(m, 0).astype(np.int8)
     orders.setflags(write=False)
     return orders

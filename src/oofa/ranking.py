@@ -56,12 +56,31 @@ class PredictionTable(Record):
         )
 
 
-def rank_descending(estimates: np.ndarray) -> np.ndarray:
-    """Rank 1 = largest; ties keep the earlier (lexicographic) row first."""
+def rank_descending(estimates: np.ndarray, out: np.ndarray | None = None,
+                    key: np.ndarray | None = None) -> np.ndarray:
+    """Rank 1 = largest; ties keep the earlier (lexicographic) row first.
+
+    The ranks are written to ``out``, an int array as long as ``estimates``,
+    when one is given.  ``key``, a float64 array of that length, is scratch,
+    so a caller that ranks several vectors can reuse one; beyond these only
+    the sort's order is allocated.  The keys are sorted once with numpy's
+    default sort, which is not stable; only when two sorted keys are equal
+    (0.0 and -0.0 among them) or one is NaN, where that sort may put tied
+    rows either way, are they sorted again stably.  Distinct keys have one
+    order, so the ranks never depend on which sort ran.
+    """
     est = np.asarray(estimates, dtype=float)
-    order = np.argsort(-est, kind="stable")
-    ranks = np.empty(len(est), dtype=int)
-    ranks[order] = np.arange(1, len(est) + 1)
+    key = np.empty(len(est)) if key is None else key
+    order = np.argsort(np.negative(est, out=key))
+    # mode "clip" writes to out directly; "raise" would buffer it
+    np.take(est, order, out=key, mode="clip")  # the estimates, largest first
+    if not (key[:-1] > key[1:]).all():  # a tie or a NaN
+        order = np.argsort(np.negative(est, out=key), kind="stable")
+    counts = key.view(np.int64)  # 1..n in place of the keys, which are done with
+    counts.fill(1)
+    np.cumsum(counts, out=counts)
+    ranks = np.empty(len(est), dtype=int) if out is None else out
+    ranks[order] = counts
     return ranks
 
 
@@ -123,7 +142,10 @@ def walk_orders(m: int, fill: Callable, shapes: Sequence[tuple], fork: bool = Fa
     fork and the copy-on-write faults that follow it.
     """
     n = factorial(m)
-    start = split_start(n, models.BLOCK_ROWS) if fork else None
+    # Cut in units of four blocks, 4,096 orders: m = 8 forks and m = 7 (5,040
+    # orders) does not, as when one block held 4,096 orders, and the cut
+    # stays on a block boundary.
+    start = split_start(n, 4 * models.BLOCK_ROWS) if fork else None
     if start is not None:
         from .split import walk
 
@@ -141,7 +163,8 @@ def predict_all(fit: FitResult) -> PredictionTable:
             est[rows], var[rows] = block_est[0], block_var[0]
 
     est, var = walk_orders(fit.m, fill, [(), ()])
-    return PredictionTable(order_array(fit.m), est, np.sqrt(var), rank_descending(est))
+    # the variances are not kept: their square roots take their place
+    return PredictionTable(order_array(fit.m), est, np.sqrt(var, out=var), rank_descending(est))
 
 
 def top_k(table: PredictionTable, k: int) -> PredictionTable:

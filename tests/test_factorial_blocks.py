@@ -3,16 +3,20 @@
 Predictions and model averages walk the m! orders in blocks of
 ``models.BLOCK_ROWS`` rows; the search and these tests still build the whole
 matrix with ``full_factorial_matrix``.  The blocked results must match the
-whole-matrix ones bit for bit at the default block size and as one block,
-and up to rounding at any block size.  The moments are summed over a
+whole-matrix estimates bit for bit at the default block size and as one
+block, and up to rounding at any block size.  The moments are summed over a
 symmetry-reduced set of orders instead (``models.moment_orders``), in
-blocks too; they must match the whole matrix up to rounding, and equal the
+blocks of ``criteria.MOMENT_BLOCK_ROWS`` orders; they must match the whole matrix up to rounding, and equal the
 correctly rounded exact value wherever the rows scale to integers (every
 family but tpwo with the geom taper).
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +39,7 @@ from oofa import (
     predict_rows,
     rank_descending,
     standardize,
+    write_design,
 )
 from oofa.cli import main
 from oofa.perms import order_array
@@ -219,11 +224,25 @@ def test_factorial_moments_do_not_depend_on_the_block_size(m, monkeypatch):
     for spec in _specs(m):
         plain, centered, _ = _fresh_moments(spec, m)
         for size in _block_sizes(m):
-            monkeypatch.setattr(models, "BLOCK_ROWS", size)
+            monkeypatch.setattr(criteria, "MOMENT_BLOCK_ROWS", size)
             other_plain, other_centered, _ = _fresh_moments(spec, m)
             assert np.array_equal(other_plain, plain), (spec.label, size)
             assert np.array_equal(other_centered, centered), (spec.label, size)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("label", ["tpwo:geom=0.3", "tpwo:geom=0.7"])
+def test_geom_moments_are_summed_over_4096_orders(label, monkeypatch):
+    """The geom rows are not integers, so their sums round, and the blocks of
+    the sum show in the last bits: at m = 8 these moments are what 4,096-order
+    sums give, whatever the block size of the m! walk."""
+    spec = parse_model(label)
+    monkeypatch.setattr(models, "BLOCK_ROWS", 7)
+    plain, centered, _ = _fresh_moments(spec, 8)
+    monkeypatch.setattr(criteria, "MOMENT_BLOCK_ROWS", 4096)
+    monkeypatch.setattr(models, "BLOCK_ROWS", 4096)
+    ref_plain, ref_centered, _ = _fresh_moments(spec, 8)
+    assert np.array_equal(plain, ref_plain) and np.array_equal(centered, ref_centered)
 
 
 #: k of each family: a moment entry depends on the positions of at most k components.
@@ -259,9 +278,10 @@ def test_factorial_moments_build_a_symmetry_reduced_order_set(m, monkeypatch):
 
 @pytest.mark.parametrize("size", [1, 7, 4096])
 def test_factorial_moments_build_rows_block_rows_at_a_time(size, monkeypatch):
-    """A patched models.BLOCK_ROWS reaches factorial_moments: each model-row
-    call builds at most that many rows, and the calls cover the order set."""
-    monkeypatch.setattr(models, "BLOCK_ROWS", size)
+    """A patched criteria.MOMENT_BLOCK_ROWS reaches factorial_moments: each
+    model-row call builds at most that many rows, and the calls cover the
+    order set."""
+    monkeypatch.setattr(criteria, "MOMENT_BLOCK_ROWS", size)
     built = _count_rows(monkeypatch)
     for m in (5, 8) if size > 1 else (5,):
         for spec in _specs(m):
@@ -399,6 +419,84 @@ def test_predictions_and_averages_do_not_depend_on_the_block_size(m, monkeypatch
         assert np.array_equal(averaged.ranks, rank_descending(averaged.estimates))
         np.testing.assert_allclose(averaged.variances, reference.variances,
                                    rtol=1e-12, atol=1e-12 * reference.variances.max())
+
+
+def _numbers(text):
+    """The text with its numbers cut out, its integers, and its other numbers."""
+    parts = re.split(r"(-?\d[\d.]*(?:e[-+]?\d+)?)", text)
+    numbers = parts[1::2]
+    integers = [x for x in numbers if x.lstrip("-").isdigit()]
+    floats = np.array([float(x) for x in numbers if not x.lstrip("-").isdigit()])
+    return parts[::2], integers, floats
+
+
+def _assert_same_csv(text, reference):
+    """The same table but for the last of the 12 digits of its decimals."""
+    words, integers, floats = _numbers(text)
+    ref_words, ref_integers, ref_floats = _numbers(reference)
+    assert words == ref_words and integers == ref_integers
+    np.testing.assert_allclose(floats, ref_floats, rtol=1e-11, atol=0)
+
+
+def _assert_same_json(text, reference, exact):
+    """Column by column: labels and orders equal; estimates equal when
+    ``exact``, else within 1e-13 of the largest; standard errors within
+    1e-11; ranks equal when ``exact``."""
+    rows, ref_rows = json.loads(text), json.loads(reference)
+    assert len(rows) == len(ref_rows) and list(rows[0]) == list(ref_rows[0])
+    for key in ref_rows[0]:
+        got, ref = [row[key] for row in rows], [row[key] for row in ref_rows]
+        if key in ("estimate", "ma_estimate") or key.startswith("est_"):
+            scale = np.abs(ref).max()
+            np.testing.assert_allclose(got, ref, rtol=0, atol=0 if exact else 1e-13 * scale)
+        elif key in ("std_error", "ma_se"):
+            np.testing.assert_allclose(got, ref, rtol=1e-11, atol=0)
+        elif key in ("rank", "ma_rank") or key.startswith("rank_"):
+            assert not exact or got == ref, key
+        else:
+            assert got == ref, key
+
+
+def _cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_tables_do_not_depend_on_the_block_size(m, monkeypatch, tmp_path):
+    """Every family and tpwo:geom=0.3, walked in blocks of 1, 7, 1,024,
+    4,096 and m! orders: the JSON tables of ``average`` and of ``predict``
+    of each fit, and the CSV table of ``average``.  From 1,024 orders on
+    the estimates and ranks are the same bit for bit and the CSV the same
+    but for the last digit of a standard error.  The standard errors may
+    move: a short block can take another BLAS kernel (with OpenBLAS 0.3.31
+    the rs2 standard errors at m = 7 moved between 1,024 and 4,096 orders;
+    in blocks of one order the rs3 ones moved by 6.4e-12), and the estimates
+    of blocks of 1 and 7 orders may move in their last bits too."""
+    labels = [spec.label for spec in _specs(m)] + ["tpwo:geom=0.3"]
+    data = str(tmp_path / "data.csv")
+    write_design(data, _dataset(m))
+    fits = [str(tmp_path / f"fit{i}.json") for i in range(len(labels))]
+    for label, fit in zip(labels, fits):
+        _cli("fit", "--model", label, "--data", data, "--out", fit)
+    average = ("average", "--data", data, "--models", ",".join(labels))
+
+    def tables(exact):
+        csv = _cli(*average) if exact else None
+        return csv, [_cli(*argv, "--format", "json")
+                     for argv in [average] + [("predict", "--fit", fit) for fit in fits]]
+
+    csv, texts = tables(True)
+    for size in (1, 7, 1024, 4096, math.factorial(m)):
+        monkeypatch.setattr(models, "BLOCK_ROWS", size)
+        exact = size >= 1024
+        other_csv, other_texts = tables(exact)
+        if exact:
+            _assert_same_csv(other_csv, csv)
+        for text, reference in zip(other_texts, texts):
+            _assert_same_json(text, reference, exact)
 
 
 def test_requests_at_m7_never_build_the_full_factorial(capsys, tmp_path):

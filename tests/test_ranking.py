@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oofa import (
     Dataset,
@@ -42,6 +44,62 @@ def test_rank_descending_matches_the_lexsort_form(seed):
     expected = np.empty(n, dtype=int)
     expected[order] = np.arange(1, n + 1)
     np.testing.assert_array_equal(rank_descending(est), expected)
+
+
+def _lexsort_ranks(est):
+    """The stable form: rank by (-estimate, row), NaN last in row order."""
+    order = np.lexsort((np.arange(len(est)), -est))
+    ranks = np.empty(len(est), dtype=int)
+    ranks[order] = np.arange(1, len(est) + 1)
+    return ranks
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e-300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 40320),
+       pool=st.lists(st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True),
+                     min_size=1, max_size=5),
+       fresh=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), buffers=st.booleans())
+def test_rank_descending_matches_the_stable_lexsort_form(n, pool, fresh, seed, buffers):
+    """Up to 8! values drawn from a few (many ties, signed zeros, infinities
+    and NaN), some replaced by distinct ones; with and without the caller's
+    result and scratch arrays."""
+    rng = np.random.default_rng(seed)
+    est = rng.choice(np.array(pool), size=n)
+    replaced = rng.random(n) < fresh
+    est[replaced] = rng.normal(size=int(replaced.sum()))
+    expected = _lexsort_ranks(est)
+    if buffers:
+        out, key = np.full(n, -1), np.full(n, 7.0)
+        assert rank_descending(est, out, key) is out
+    else:
+        out = rank_descending(est)
+    np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("case, stable", [
+    ("distinct", False), ("tie", True), ("signed zeros", True), ("nan", True), ("inf", False),
+])
+def test_rank_descending_sorts_stably_only_for_ties_or_nan(case, stable, monkeypatch):
+    """One unstable sort for distinct estimates (two infinities of opposite
+    sign are distinct); a second, stable one when sorted keys tie or NaN is
+    present."""
+    est = np.random.default_rng(3).permutation(np.arange(1.0, 40321.0))
+    est[[10, 20]] = {"distinct": est[[10, 20]], "tie": (5.5, 5.5), "signed zeros": (0.0, -0.0),
+                     "nan": (np.nan, 1.25), "inf": (np.inf, -np.inf)}[case]
+    kinds, argsort = [], np.argsort
+
+    def logged(a, *args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", logged)
+    ranks = rank_descending(est)
+    monkeypatch.undo()
+    assert kinds == ([None, "stable"] if stable else [None])
+    np.testing.assert_array_equal(ranks, _lexsort_ranks(est))
 
 
 @pytest.mark.parametrize("label", FIVE)

@@ -87,7 +87,9 @@ cli.run(argv)
 
 #: (argv, children forked): at m = 8 the table forks once, and so does the
 #: prediction walk of two or more models; a single model's walk, a 100-row
-#: table and a walk of five 4,096-order blocks do not.
+#: table and the m = 7 walk do not.  The walk is cut in units of four
+#: 1,024-order blocks and forks from four units on: m = 7's 5,040 orders are
+#: five blocks but only two units.
 REQUESTS = {
     "predict": (["predict", "--fit", "{pwo}"], 1),
     "predict-json": (["predict", "--fit", "{pwo}", "--format", "json"], 1),
@@ -100,6 +102,7 @@ REQUESTS = {
     "enumerate": (["enumerate", "--m", "8"], 1),
     "enumerate-m7": (["enumerate", "--m", "7"], 1),
     "predict-m7": (["predict", "--fit", "{pwo7}"], 1),
+    "average-m7": (["average", "--data", "{data7}", "--models", "pwo,cp,nn"], 1),
 }
 
 
