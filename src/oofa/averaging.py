@@ -24,7 +24,7 @@ from .design import check_weights
 from .errors import SaturatedModelError, ValidationError
 from .fitting import FitResult, akaike_weights, information_criteria
 from .perms import Permutation, as_permutations, order_array
-from .ranking import predict_factorial, rank_descending, walk_orders
+from .ranking import PRODUCT_ROWS, predict_factorial, rank_descending, walk_orders
 from .records import Record
 
 
@@ -35,7 +35,9 @@ def combine_predictions(
 
     ``estimates`` and ``conditional_variances`` are (K, w); ``weights`` is
     (K,) and must sum to one.  :func:`average_predictions` calls it on one
-    block of orders at a time.
+    block of orders at a time.  The orders are weighted
+    :data:`~oofa.ranking.PRODUCT_ROWS` at a time, padded with zeros, so an
+    order's results do not depend on the orders it comes with.
     """
     est = np.asarray(estimates, dtype=float)
     cvar = np.asarray(conditional_variances, dtype=float)
@@ -45,8 +47,18 @@ def combine_predictions(
     check_weights(w, "model")
     if np.any(cvar < 0):
         raise ValidationError("conditional variances must be non-negative")
-    avg = w @ est
-    return avg, (w @ np.sqrt(cvar + (est - avg) ** 2)) ** 2
+    n = est.shape[1]
+    avg, var = np.empty(n), np.empty(n)
+    for start in range(0, n, PRODUCT_ROWS):
+        cols, b = slice(start, start + PRODUCT_ROWS), min(PRODUCT_ROWS, n - start)
+        tile, ctile = est[:, cols], cvar[:, cols]
+        if b < PRODUCT_ROWS:
+            pad = ((0, 0), (0, PRODUCT_ROWS - b))
+            tile, ctile = np.pad(tile, pad), np.pad(ctile, pad)
+        mean = w @ tile
+        avg[cols] = mean[:b]
+        var[cols] = ((w @ np.sqrt(ctile + (tile - mean) ** 2)) ** 2)[:b]
+    return avg, var
 
 
 class CandidateSet(Record):

@@ -257,28 +257,17 @@ def _json_rows(header: list[str], typed: list):
     """``write_rows(stream, start, stop)``: the JSON records of the blocks of
     ``typed`` that begin in rows start..stop, each block after the first
     led by the ``,`` that ends the record before it."""
-    def record(float_cell: str) -> str:
-        fields = ",\n".join(
-            "    " + encode_basestring_ascii(key).replace("%", "%%") + ": "
-            + (float_cell if kind == "f" else "%s") for key, (kind, _) in zip(header, typed)
-        )
-        return "  {\n" + fields + "\n  }"
-
-    # A block whose floats are all finite takes them as values, through %r, which
-    # is float.__repr__; NaN and infinity need their JSON spelling (_json_floats).
-    finite, special = record("%r"), record("%s")
+    fields = ",\n".join(
+        "    " + encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in header
+    )
+    record = "  {\n" + fields + "\n  }"
 
     def write_rows(stream: IO[str], start: int, stop: int) -> None:
         for begin in range(start, stop, BLOCK_ROWS):
             if begin:
                 stream.write(",\n")
-            block = _block(typed, begin)
-            if all(isfinite(sum(values)) for (kind, _), values in zip(typed, block)
-                   if kind == "f"):
-                template, cells = finite, _format_block(typed, block, _JSON_FINITE_CELLS)
-            else:
-                template, cells = special, _format_block(typed, block, _JSON_CELLS)
-            records = ",\n".join([template] * len(cells[0]))
+            cells = _format_block(typed, _block(typed, begin), _JSON_CELLS)
+            records = ",\n".join([record] * len(cells[0]))
             stream.write(records % tuple(chain.from_iterable(zip(*cells))))
 
     return write_rows
@@ -351,9 +340,6 @@ _JSON_CELLS = {
     "i": _CSV_CELLS["i"],
     "s": lambda values: list(map(encode_basestring_ascii, values)),
 }
-#: Cells for the JSON record template of a block without NaN or infinity:
-#: floats and ints go in as values (``%r``, ``%s``).
-_JSON_FINITE_CELLS = {**_JSON_CELLS, "f": _as_is, "i": _as_is}
 
 
 def table_to_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

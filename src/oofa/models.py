@@ -70,9 +70,18 @@ from .records import Record, ValueRecord
 #: Orders per block when the m! orders are walked (:func:`position_blocks`).
 #: A block's model rows and their product with the covariance stay in a 2 MiB
 #: L2 cache: for nn at m = 8 (56 columns) each is 0.46 MB at 1,024 orders and
-#: 1.8 MB at 4,096.  The five-model m = 8 walk took 58 ms at 1,024 orders,
-#: against 65 ms at 4,096 and 75 ms at 256 (one BLAS thread, 2-core x86-64).
+#: 1.8 MB at 4,096.  The five-model m = 8 walk took 63 ms at 1,024 orders,
+#: against 71 ms in whole 4,096-order products (one BLAS thread, 2-core
+#: x86-64).  No less than ``ranking.PRODUCT_ROWS``, whose products pad a
+#: shorter block: at 256 orders the walk took 201 ms.
 BLOCK_ROWS = 1024
+
+#: Orders per unit of a walk that :func:`split_start` may cut in two
+#: (``ranking.walk_orders``).  A walk forks from four units on, so at 4,096
+#: orders, the walk's block size when that rule was set, m = 8 (40,320
+#: orders) forks and m = 7 (5,040) does not.  A multiple of
+#: :data:`BLOCK_ROWS`, so the cut falls between two blocks of the walk.
+WALK_SPLIT_ROWS = 4096
 
 
 class Family(str, enum.Enum):

@@ -61,27 +61,26 @@ def rank_descending(estimates: np.ndarray, out: np.ndarray | None = None,
     """Rank 1 = largest; ties keep the earlier (lexicographic) row first.
 
     The ranks are written to ``out``, an int array as long as ``estimates``,
-    when one is given.  ``key``, a float64 array of that length, is scratch,
-    so a caller that ranks several vectors can reuse one; beyond these only
-    the sort's order is allocated.  The keys are sorted once with numpy's
-    default sort, which is not stable; only when two sorted keys are equal
-    (0.0 and -0.0 among them) or one is NaN, where that sort may put tied
-    rows either way, are they sorted again stably.  Distinct keys have one
-    order, so the ranks never depend on which sort ran.
+    when one is given.  ``key``, a float64 array of that length, takes the
+    sort keys, so a caller that ranks several vectors can reuse one; beyond
+    these only the sort's order is allocated.
     """
     est = np.asarray(estimates, dtype=float)
     key = np.empty(len(est)) if key is None else key
-    order = np.argsort(np.negative(est, out=key))
-    # mode "clip" writes to out directly; "raise" would buffer it
-    np.take(est, order, out=key, mode="clip")  # the estimates, largest first
-    if not (key[:-1] > key[1:]).all():  # a tie or a NaN
-        order = np.argsort(np.negative(est, out=key), kind="stable")
-    counts = key.view(np.int64)  # 1..n in place of the keys, which are done with
-    counts.fill(1)
-    np.cumsum(counts, out=counts)
+    order = np.argsort(np.negative(est, out=key), kind="stable")
     ranks = np.empty(len(est), dtype=int) if out is None else out
-    ranks[order] = counts
+    ranks[order] = np.arange(1, len(est) + 1)
     return ranks
+
+
+#: Orders per product in :func:`predict_rows` and
+#: :func:`~oofa.averaging.combine_predictions`.  A BLAS picks its kernel,
+#: and with it the order of each order's sums, by the shape of a product:
+#: with OpenBLAS 0.3.31, a 384-row product with rs2's 35-column covariance
+#: sums otherwise than a 1,024-row one, so the last bits of a standard error
+#: depended on where the walk cut its blocks.  Every product takes this many
+#: orders, the last ones padded with zeros, so no result depends on the cut.
+PRODUCT_ROWS = 1024
 
 
 def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,22 +90,27 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
     as zeros, so the full fitted covariance (which carries the
     model-times-block correlations) still applies.  Variances are NaN when
     the fit has no dispersion estimate.  Raises EstimabilityError when a
-    prediction or variance overflows.
+    prediction or variance overflows.  The rows are taken
+    :data:`PRODUCT_ROWS` at a time, so a row's results do not depend on the
+    rows it comes with.
     """
-    rows = np.asarray(model_rows, dtype=float)
-    k = fit.n_model_cols
-    if rows.shape[1] != k:
+    rows = np.ascontiguousarray(model_rows, dtype=float)
+    n, k = rows.shape
+    if k != fit.n_model_cols:
         raise ValidationError(
-            f"rows have {rows.shape[1]} columns, fit has {k} model columns"
+            f"rows have {k} columns, fit has {fit.n_model_cols} model columns"
         )
+    est, var = np.empty(n), np.full(n, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
-        est = rows @ fit.model_coefficients
-        if fit.sigma2_hat is None:
-            var = np.full(len(rows), np.nan)
-        else:
-            prod = rows @ fit.xtx_inv[:k, :k]
-            prod *= rows
-            var = np.maximum(fit.sigma2_hat * prod.sum(axis=1), 0.0)
+        for start in range(0, n, PRODUCT_ROWS):
+            tile, b = rows[start:start + PRODUCT_ROWS], min(PRODUCT_ROWS, n - start)
+            if b < PRODUCT_ROWS:
+                tile = np.pad(tile, ((0, PRODUCT_ROWS - b), (0, 0)))
+            est[start:start + b] = (tile @ fit.model_coefficients)[:b]
+            if fit.sigma2_hat is not None:
+                prod = tile @ fit.xtx_inv[:k, :k]
+                prod *= tile
+                var[start:start + b] = np.maximum(fit.sigma2_hat * prod.sum(axis=1)[:b], 0.0)
     if not (np.all(np.isfinite(est)) and (fit.sigma2_hat is None or np.all(np.isfinite(var)))):
         raise EstimabilityError(
             f"predictions of model {fit.spec.label} overflow; rescale y, for example "
@@ -142,10 +146,7 @@ def walk_orders(m: int, fill: Callable, shapes: Sequence[tuple], fork: bool = Fa
     fork and the copy-on-write faults that follow it.
     """
     n = factorial(m)
-    # Cut in units of four blocks, 4,096 orders: m = 8 forks and m = 7 (5,040
-    # orders) does not, as when one block held 4,096 orders, and the cut
-    # stays on a block boundary.
-    start = split_start(n, 4 * models.BLOCK_ROWS) if fork else None
+    start = split_start(n, models.WALK_SPLIT_ROWS) if fork else None
     if start is not None:
         from .split import walk
 

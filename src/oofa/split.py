@@ -1,9 +1,10 @@
 """Split a long walk of rows between this process and one forked child.
 
 A request run by ``cli.run`` owns its whole process, so it may fork.  A
-walk of the m! orders (:func:`walk`) or a table (:func:`write`) of at least
-four blocks is cut at the block boundary nearest its middle
-(:func:`~oofa.models.split_start`): a forked child does the second half
+walk of the m! orders (:func:`walk`) of at least four
+:data:`~oofa.models.WALK_SPLIT_ROWS`-order units, or a table
+(:func:`write`) of at least four blocks, is cut at the boundary nearest its
+middle (:func:`~oofa.models.split_start`): a forked child does the second half
 while this process does the first.  The child starts on a CPU other than
 the one this process is running on (:func:`_move_off`), so the halves run
 on two cores.  Both halves run the per-block code of the serial path, over

@@ -79,29 +79,6 @@ def test_rank_descending_matches_the_stable_lexsort_form(n, pool, fresh, seed, b
     np.testing.assert_array_equal(out, expected)
 
 
-@pytest.mark.parametrize("case, stable", [
-    ("distinct", False), ("tie", True), ("signed zeros", True), ("nan", True), ("inf", False),
-])
-def test_rank_descending_sorts_stably_only_for_ties_or_nan(case, stable, monkeypatch):
-    """One unstable sort for distinct estimates (two infinities of opposite
-    sign are distinct); a second, stable one when sorted keys tie or NaN is
-    present."""
-    est = np.random.default_rng(3).permutation(np.arange(1.0, 40321.0))
-    est[[10, 20]] = {"distinct": est[[10, 20]], "tie": (5.5, 5.5), "signed zeros": (0.0, -0.0),
-                     "nan": (np.nan, 1.25), "inf": (np.inf, -np.inf)}[case]
-    kinds, argsort = [], np.argsort
-
-    def logged(a, *args, **kwargs):
-        kinds.append(kwargs.get("kind"))
-        return argsort(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", logged)
-    ranks = rank_descending(est)
-    monkeypatch.undo()
-    assert kinds == ([None, "stable"] if stable else [None])
-    np.testing.assert_array_equal(ranks, _lexsort_ranks(est))
-
-
 @pytest.mark.parametrize("label", FIVE)
 def test_predictions_match_oracle(label, m3_dataset, oracle_fixtures):
     table = predict_all(ols_fit(parse_model(label), m3_dataset))

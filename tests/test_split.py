@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import oofa
-from oofa import Dataset, Design, build_matrix, parse_model, split, write_design
+from oofa import Dataset, Design, build_matrix, models, parse_model, split, write_design
 from oofa.cli import main
 from oofa.perms import order_array
 
@@ -87,9 +87,8 @@ cli.run(argv)
 
 #: (argv, children forked): at m = 8 the table forks once, and so does the
 #: prediction walk of two or more models; a single model's walk, a 100-row
-#: table and the m = 7 walk do not.  The walk is cut in units of four
-#: 1,024-order blocks and forks from four units on: m = 7's 5,040 orders are
-#: five blocks but only two units.
+#: table and the m = 7 walk do not.  The walk forks from four units of
+#: models.WALK_SPLIT_ROWS = 4,096 orders on: m = 7's 5,040 orders are two.
 REQUESTS = {
     "predict": (["predict", "--fit", "{pwo}"], 1),
     "predict-json": (["predict", "--fit", "{pwo}", "--format", "json"], 1),
@@ -176,6 +175,10 @@ def _children(log):
 
 def _error_lines(stderr):
     return [line for line in stderr.decode().splitlines() if not line.startswith("# config:")]
+
+
+def test_a_walk_is_cut_between_two_of_its_blocks():
+    assert models.WALK_SPLIT_ROWS % models.BLOCK_ROWS == 0
 
 
 @pytest.mark.parametrize("name", REQUESTS)
