@@ -20,21 +20,22 @@ __version__ = "0.1.0"
 
 #: Home module of every exported name.
 _EXPORTS = {
+    "adaptors": ("Permutation", "StdPositions", "a_criterion", "apv", "av", "build_matrix",
+                 "compound", "d_criterion", "enumerate_permutations", "pwo_to_ltpwo_maps",
+                 "standardize"),
     "averaging": ("AveragedPrediction", "CandidateSet", "average_predictions",
                   "combine_predictions"),
     "criteria": ("CompoundMember", "CompoundSpec", "CriterionKind", "CriterionSpec",
-                 "OrthogonalCoding", "a_criterion", "apv", "av", "compound",
-                 "criterion_value", "d_criterion", "orthogonal_coding"),
+                 "OrthogonalCoding", "criterion_value", "orthogonal_coding"),
     "dataio": ("read_design", "write_design"),
     "design": ("Dataset", "Design"),
     "errors": ("CapacityError", "EstimabilityError", "OofaError", "ParseError",
                "SaturatedModelError", "SearchFailureError", "UnsupportedModelError",
                "ValidationError"),
     "fitting": ("FitResult", "akaike_weights", "information_criteria", "ols_fit"),
-    "models": ("Family", "ModelSpec", "Taper", "TaperKind", "build_matrix",
-               "full_factorial_matrix", "parse_model", "pwo_to_ltpwo_maps", "term_labels"),
-    "perms": ("MAX_COMPONENTS", "Permutation", "StdPositions", "check_capacity",
-              "enumerate_permutations", "standardize"),
+    "models": ("Family", "ModelSpec", "Taper", "TaperKind", "full_factorial_matrix",
+               "parse_model", "term_labels"),
+    "perms": ("MAX_COMPONENTS", "check_capacity"),
     "ranking": ("PredictionTable", "predict_all", "predict_rows", "rank_descending",
                 "top_k"),
     "search": ("SearchConfig", "SearchResult", "exchange_search", "random_design"),
@@ -44,13 +45,25 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_HOME, "__version__"]
 
 
-def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _forward(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """The ``__getattr__`` (PEP 562) of the module whose globals are
+    ``namespace``: each name in ``exports[module]`` is read from that
+    submodule on first use, and kept in ``namespace``.  Modules serve the
+    names that moved out of them this way."""
+    homes = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = homes.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _forward(globals(), _EXPORTS)
 
 
 def __dir__() -> list[str]:

@@ -18,14 +18,19 @@ conditional variances only the spread contributes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .design import check_weights
 from .errors import SaturatedModelError, ValidationError
 from .fitting import FitResult, akaike_weights, information_criteria
-from .perms import Permutation, as_permutations, order_array
+from .perms import order_array
 from .ranking import PRODUCT_ROWS, predict_factorial, rank_descending, walk_orders
 from .records import Record
+
+if TYPE_CHECKING:
+    from .adaptors import Permutation
 
 
 def combine_predictions(
@@ -127,6 +132,8 @@ class AveragedPrediction(Record):
     @property
     def perms(self) -> tuple[Permutation, ...]:
         """The row orders as :class:`Permutation` objects (built on each access)."""
+        from .adaptors import as_permutations
+
         return as_permutations(self.orders)
 
 

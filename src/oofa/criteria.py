@@ -15,19 +15,10 @@ reparameterization-invariant, which is why an orthogonal coding
 (X_f^T X_f = w I) is offered -- under it, av coincides with the A-criterion.
 
 The moment matrices X_f^T X_f and X_f^T (I - J/w) X_f depend only on
-(model, m) and are cached; the p x p versions are all the criteria ever
-touch.  They need not be summed over all m! orders.  Each column depends
-on the positions of at most k/2 components, so an entry depends on at
-most k, and relabeling components maps the uniform distribution on
-orders onto itself: an entry equals (m-k)! times the same sum at its
-canonical pair (components mapped order-preservingly onto 1..k) over the
-m!/(m-k)! orders in which components k+1..m appear in ascending order.
-k is 4 for pwo, tpwo, rs2 and nn, 6 for rs3 and rs3s and 2 for cp (m
-where that is smaller), so at m = 8 the sums run over 1,680 orders
-(20,160 for rs3 and rs3s, 56 for cp) instead of 40,320.  At every m the
-rows are summed as integers wherever they can be made integers (every
-family but tpwo with the geom taper), so each moment entry is the
-correctly rounded exact value.
+(model, m) and are cached (:func:`factorial_moments`); the p x p versions
+are all the criteria ever touch.  Each entry is the correctly rounded exact
+value wherever the rows can be made integers (every family but tpwo with
+the geom taper).
 Block labels on a design are deliberately ignored here: blocks are fitted
 nuisance parameters, not part of the prediction target.
 
@@ -49,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import models
+from . import _forward, models
 from .design import RANK_RTOL, Design, check_weights
 from .errors import EstimabilityError, ValidationError
 from .models import ModelSpec, moment_orders, order_matrix
@@ -205,8 +196,9 @@ def _single_value(x: np.ndarray, rows: MemberRows, what: str = "design matrix") 
 # ---------------------------------------------------------------------------
 
 
-#: Orders per block of :func:`factorial_moments`' sums.  Not the walk's
-#: ``models.BLOCK_ROWS``: the tpwo:geom rows are not integers, so their sums
+#: Orders per block of :func:`factorial_moments`' tpwo:geom sums.  Every other
+#: family has integer rows, whose sums are exact in any blocks, and takes the
+#: walk's ``models.BLOCK_ROWS``.  The geom rows are not integers, so their sums
 #: round, and at m = 8 sums over 1,024 orders move the geom=0.3 and geom=0.7
 #: moments by up to 3.7e-16 of their largest entry.  Kept at 4,096, every
 #: moment is what it has been.
@@ -217,28 +209,21 @@ MOMENT_BLOCK_ROWS = 4096
 def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, int]:
     """(X_f^T X_f, X_f^T (I - J/w) X_f, w), computed once per (model, m).
 
-    Both are Gram matrices over the w = m! orders, summed over the order set
-    of :func:`~oofa.models.moment_orders` and expanded.  Each column depends
-    on the positions of at most k/2 components: k = 4 for pwo, tpwo, rs2 and
-    nn, 6 for rs3 and rs3s, 2 for cp, or m where that is smaller.
-    Relabeling components maps the uniform distribution on orders onto
-    itself, so entry (i, j) equals the entry at its canonical pair, whose
-    components are those of columns i and j mapped order-preservingly onto
-    1..k.  Over the m!/(m-k)! orders in which components k+1..m appear in
-    ascending order, the positions of components 1..k take each ordered
-    placement once, so that entry is (m-k)! times its sum over these orders:
-    1,680 of them at m = 8 (20,160 for rs3 and rs3s, 56 for cp) instead of
-    40,320.  The centered moment expands the same way, because the
+    Both are Gram matrices over the w = m! orders, summed over the
+    symmetry-reduced order set of :func:`~oofa.models.moment_orders` (at
+    m = 8, 1,680 orders instead of 40,320; 20,160 for rs3 and rs3s, 56 for
+    cp) and expanded.  The centered moment expands the same way, because the
     canonical columns have the same means over these orders as over all.
 
-    The rows are built :data:`MOMENT_BLOCK_ROWS` orders at a time and
-    never held whole.  They are built at the integer positions q_c (the
-    invh taper scaled by lcm(1..m-1)), so for every family but tpwo with the
-    geom taper their Gram G and column sums s are exact, and each entry
-    takes one correctly rounded division: G / D and (n G - s s^T) / (n D),
-    D the divisor.  The geom rows are summed in floating point the same way;
-    their tapered columns have mean zero and the intercept's centered entry
-    is exactly n n - n n = 0, so n G - s s^T loses no digits to cancellation.
+    The rows are built ``models.BLOCK_ROWS`` orders at a time
+    (:data:`MOMENT_BLOCK_ROWS` for tpwo:geom) and never held whole.  They
+    are built at the integer positions q_c (the invh taper scaled by
+    lcm(1..m-1)), so for every family but tpwo with the geom taper their
+    Gram G and column sums s are exact, and each entry takes one correctly
+    rounded division: G / D and (n G - s s^T) / (n D), D the divisor.  The
+    geom rows are summed in floating point the same way; their tapered
+    columns have mean zero and the intercept's centered entry is exactly
+    n n - n n = 0, so n G - s s^T loses no digits to cancellation.
 
     Immutable after creation; concurrent readers are safe (worst case two
     threads build the same entry once).
@@ -246,10 +231,12 @@ def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, 
     orders = moment_orders(spec, m)
     p = spec.param_count(m)
     gram, sums, n = np.zeros((p, p)), np.zeros(p), 0
-    # MOMENT_BLOCK_ROWS and models.model_rows are read when this runs, so a
+    # The block sizes and models.model_rows are read when this runs, so a
     # changed block size or a wrapped row builder takes effect here too.
-    for start in range(0, len(orders.positions), MOMENT_BLOCK_ROWS):
-        block = models.model_rows(spec, orders.positions[start:start + MOMENT_BLOCK_ROWS],
+    geom = spec.taper is not None and spec.taper.kind is models.TaperKind.GEOMETRIC
+    size = MOMENT_BLOCK_ROWS if geom else models.BLOCK_ROWS
+    for start in range(0, len(orders.positions), size):
+        block = models.model_rows(spec, orders.positions[start:start + size],
                                   standardized=False)
         gram += block.T @ block
         sums += block.sum(axis=0)
@@ -262,54 +249,6 @@ def factorial_moments(spec: ModelSpec, m: int) -> tuple[np.ndarray, np.ndarray, 
     plain.setflags(write=False)
     centered.setflags(write=False)
     return plain, centered, n * orders.repeats
-
-
-# ---------------------------------------------------------------------------
-# matrix-level and design-level entry points
-# ---------------------------------------------------------------------------
-
-
-def apv_from_matrices(x: np.ndarray, xf: np.ndarray, sigma2: float = 1.0) -> float:
-    """Average pairwise prediction-difference variance, from raw matrices."""
-    xf = np.asarray(xf, dtype=float)
-    centered = xf - xf.mean(axis=0)
-    crit = CriterionSpec(CriterionKind.APV, sigma2)
-    return _single_value(x, MemberRows(crit, centered.T @ centered, 2.0 * sigma2 / (len(xf) - 1)))
-
-
-def av_from_matrices(x: np.ndarray, xf: np.ndarray, sigma2: float = 1.0) -> float:
-    """Average prediction variance over the candidate rows, from raw matrices."""
-    xf = np.asarray(xf, dtype=float)
-    crit = CriterionSpec(CriterionKind.AV, sigma2)
-    return _single_value(x, MemberRows(crit, xf.T @ xf, sigma2 / len(xf)))
-
-
-def a_from_matrix(x: np.ndarray, sigma2: float = 1.0) -> float:
-    return _single_value(x, MemberRows(CriterionSpec(CriterionKind.A_OPT, sigma2), None, sigma2))
-
-
-def d_from_matrix(x: np.ndarray, sigma2: float = 1.0) -> float:
-    return _single_value(x, MemberRows(CriterionSpec(CriterionKind.D_OPT, sigma2), None, sigma2))
-
-
-def apv(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
-    """Average variance of predicted differences across all m! orders."""
-    return criterion_value(spec, CriterionSpec(CriterionKind.APV, sigma2), design)
-
-
-def av(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
-    """Average prediction variance across all m! orders."""
-    return criterion_value(spec, CriterionSpec(CriterionKind.AV, sigma2), design)
-
-
-def a_criterion(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
-    """(sigma^2/p) tr[(X^T X)^{-1}]; smaller is better."""
-    return criterion_value(spec, CriterionSpec(CriterionKind.A_OPT, sigma2), design)
-
-
-def d_criterion(spec: ModelSpec, design: Design, sigma2: float = 1.0) -> float:
-    """sigma^2 |X^T X|^{1/p}; larger is better."""
-    return criterion_value(spec, CriterionSpec(CriterionKind.D_OPT, sigma2), design)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +323,7 @@ def criterion_value(model: ModelSpec, criterion: CriterionSpec, design: Design) 
     return _single_value(x, rows, f"model {model.label} on this {design.n}-run design")
 
 
-def oriented_value(kind: CriterionKind, value: float | np.ndarray) -> float | np.ndarray:
-    """Map criterion values so that smaller is always better; 1/D is finite
-    because the kernel rejects an estimable D below the smallest normal float."""
-    return 1.0 / value if kind is CriterionKind.D_OPT else value
-
-
-def compound(spec: CompoundSpec, design: Design) -> float:
-    """Weighted sum of oriented member criteria; smaller is better."""
-    total = 0.0
-    for member in spec.members:
-        value = criterion_value(member.model, member.criterion, design)
-        total += member.weight * oriented_value(member.criterion.kind, value)
-    return float(total)
+__getattr__ = _forward(globals(), {
+    "adaptors": ("a_criterion", "a_from_matrix", "apv", "apv_from_matrices", "av",
+                 "av_from_matrices", "compound", "d_criterion", "d_from_matrix"),
+    "search": ("oriented_value",)})

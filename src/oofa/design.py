@@ -4,13 +4,15 @@ and responses, plus the rank and weight tolerances every layer shares."""
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .perms import Permutation, as_permutations
 from .records import Record
+
+if TYPE_CHECKING:
+    from .adaptors import Permutation
 
 #: Relative singular-value threshold below which a column is rank-deficient.
 RANK_RTOL = 1e-10
@@ -54,7 +56,9 @@ class Design(Record):
 
     @property
     def runs(self) -> tuple[Permutation, ...]:
-        """The runs as :class:`~oofa.perms.Permutation` objects, built on each access."""
+        """The runs as :class:`~oofa.adaptors.Permutation` objects, built on each access."""
+        from .adaptors import as_permutations
+
         return as_permutations(self.orders)
 
     @property

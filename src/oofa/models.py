@@ -12,7 +12,8 @@ Families
     tapers: z(h) = 1/h, z(h) = r^(h-1) for a fixed ratio 0 < r < 1, and the
     linear z(h) = m - h.  Same column count as PWO.  With the linear taper
     the column space equals the PWO column space (see
-    :func:`pwo_to_ltpwo_maps`), so both models produce identical fits.
+    :func:`~oofa.adaptors.pwo_to_ltpwo_maps`), so both models produce
+    identical fits.
 ``CP``
     Component-position indicators: intercept plus tau_c_j = 1 if component c
     occupies position j, for c <= m-1 and j <= m-1 (component m and position
@@ -58,16 +59,16 @@ import itertools
 import os
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .design import Design
-from .errors import EstimabilityError, UnsupportedModelError, ValidationError
-from .perms import Permutation, ascending_tail_orders, order_array
+from . import _forward
+from .errors import UnsupportedModelError, ValidationError
+from .perms import ascending_tail_orders, order_array
 from .records import Record, ValueRecord
 
-#: Orders per block when the m! orders are walked (:func:`position_blocks`).
+#: Orders per block when the m! orders are walked (``ranking.position_blocks``).
 #: A block's model rows and their product with the covariance stay in a 2 MiB
 #: L2 cache: for nn at m = 8 (56 columns) each is 0.46 MB at 1,024 orders and
 #: 1.8 MB at 4,096.  The five-model m = 8 walk took 63 ms at 1,024 orders,
@@ -75,13 +76,6 @@ from .records import Record, ValueRecord
 #: x86-64).  No less than ``ranking.PRODUCT_ROWS``, whose products pad a
 #: shorter block: at 256 orders the walk took 201 ms.
 BLOCK_ROWS = 1024
-
-#: Orders per unit of a walk that :func:`split_start` may cut in two
-#: (``ranking.walk_orders``).  A walk forks from four units on, so at 4,096
-#: orders, the walk's block size when that rule was set, m = 8 (40,320
-#: orders) forks and m = 7 (5,040) does not.  A multiple of
-#: :data:`BLOCK_ROWS`, so the cut falls between two blocks of the walk.
-WALK_SPLIT_ROWS = 4096
 
 
 class Family(str, enum.Enum):
@@ -377,13 +371,6 @@ def _rows_from_groups(spec: ModelSpec, v: np.ndarray, z: np.ndarray | None = Non
     return out
 
 
-def build_matrix(spec: ModelSpec, runs: Sequence[Permutation | Sequence[int]]) -> DesignMatrix:
-    """The model matrix of the given runs, one row per run: an adaptor for
-    :class:`~oofa.perms.Permutation` objects or plain orders, which are checked
-    and converted once to the order array a :class:`~oofa.design.Design` holds."""
-    return order_matrix(spec, Design([getattr(run, "order", run) for run in runs]).orders)
-
-
 def order_matrix(spec: ModelSpec, orders: np.ndarray) -> DesignMatrix:
     """The model matrix of the (n, m) component ``orders``, such as
     ``Design.orders``: :func:`model_rows` at their positions."""
@@ -405,21 +392,6 @@ def split_start(n: int, block: int) -> int | None:
     if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2:
         return None
     return blocks // 2 * block
-
-
-def position_blocks(m: int, start: int = 0, stop: int | None = None
-                    ) -> Iterator[tuple[slice, np.ndarray]]:
-    """The positions q_c of all m! orders, :data:`BLOCK_ROWS` orders at a
-    time, as (rows, q) pairs: ``rows`` is a slice of consecutive rows of
-    :func:`~oofa.perms.order_array` and ``q`` holds the positions of those
-    orders, computed from them alone, so no m!-row position array is ever
-    kept.  The blocks come in ascending order and tile the orders once;
-    given ``start`` (a multiple of :data:`BLOCK_ROWS`) and ``stop``, only
-    the blocks that begin in rows start..stop come.
-    """
-    for begin in range(start, factorial(m) if stop is None else stop, BLOCK_ROWS):
-        rows = slice(begin, begin + BLOCK_ROWS)
-        yield rows, _positions(order_array(m)[rows])
 
 
 class MomentOrders(Record):
@@ -546,21 +518,5 @@ def full_factorial_matrix(spec: ModelSpec, m: int) -> DesignMatrix:
     return order_matrix(spec, order_array(m))
 
 
-def pwo_to_ltpwo_maps(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mapping matrices between the PWO and linearly tapered PWO columns.
-
-    Returns (A, B) with X_ltpwo = X_pwo @ A and X_pwo = X_ltpwo @ B over the
-    full factorial (hence over any design, row-wise), and A @ B = I.  The two
-    column spaces coincide, which is why both models always produce the same
-    fitted values.
-    """
-    x_pwo = full_factorial_matrix(ModelSpec(Family.PWO), m).values
-    x_lt = full_factorial_matrix(
-        ModelSpec(Family.TPWO, Taper(TaperKind.LINEAR)), m
-    ).values
-    try:
-        a = np.linalg.solve(x_pwo.T @ x_pwo, x_pwo.T @ x_lt)
-        b = np.linalg.solve(x_lt.T @ x_lt, x_lt.T @ x_pwo)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - full rank for m >= 2
-        raise EstimabilityError(f"singular moment matrix at m = {m}: {exc}") from exc
-    return a, b
+__getattr__ = _forward(globals(), {"adaptors": ("build_matrix", "pwo_to_ltpwo_maps"),
+                                   "ranking": ("WALK_SPLIT_ROWS", "position_blocks")})

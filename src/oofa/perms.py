@@ -1,87 +1,22 @@
-"""Permutation enumeration and standardized-position arithmetic.
-
-A run of an order-of-addition experiment is an ordering of m components,
-identified internally as integers 1..m.  With q_c the 1-based position of
-component c in a run, the standardized position is
-
-    p_c = 2 q_c / (m (m + 1)),
-
-which satisfies three exact constraints over any complete ordering:
-
-    sum_c p_c          = 1
-    sum_c p_c^2        = 2 (2m + 1) / (3 m (m + 1))
-    sum_{c<d} p_c p_d  = (3 m^2 - m - 2) / (6 m (m + 1))
-
-These identities are what make the reduced response-surface parameterizations
-in :mod:`oofa.models` full rank without an explicit intercept; the test suite
-asserts them to 1e-12 for every permutation up to m = 8.
+"""The orders of an order-of-addition experiment: each run applies the m
+components, identified internally as integers 1..m, in some order.  This
+module holds all m! orders as one cached int8 array, the orders whose last
+components ascend, and the cap on m.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
+from . import _forward
 from .errors import CapacityError, ValidationError
-from .records import Record, ValueRecord
 
 #: Hard cap on the component count: downstream modules materialize all m!
 #: orders (40320 rows at m = 8), so larger m is refused outright.
 MAX_COMPONENTS = 8
-
-
-class Permutation(ValueRecord):
-    """One ordering of the components 1..m, an adaptor type: the package holds
-    orders as int8 arrays (:func:`order_array`, ``Design.orders``).
-
-    ``order[j]`` is the component applied at position j+1; it must be a
-    bijection on {1, ..., m}.
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self, order: tuple[int, ...]) -> None:
-        if not isinstance(order, tuple):
-            order = tuple(order)
-        m = len(order)
-        if m == 0:
-            raise ValidationError("a permutation needs at least one component")
-        if sorted(order) != list(range(1, m + 1)):
-            raise ValidationError(f"order {order!r} is not a permutation of 1..{m}")
-        object.__setattr__(self, "order", order)
-
-    @property
-    def m(self) -> int:
-        return len(self.order)
-
-    def positions(self) -> tuple[int, ...]:
-        """Positions q_c indexed by component: element c-1 is q_c."""
-        q = [0] * self.m
-        for pos, comp in enumerate(self.order, start=1):
-            q[comp - 1] = pos
-        return tuple(q)
-
-    def label(self, labels: tuple[str, ...] | None = None) -> str:
-        """Space-separated external labels, e.g. ``"B C A"``."""
-        if labels is None:
-            return " ".join(str(c) for c in self.order)
-        return " ".join(labels[c - 1] for c in self.order)
-
-
-class StdPositions(Record):
-    """Standardized positions p_c of one run, indexed by component."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: tuple[float, ...]) -> None:
-        object.__setattr__(self, "p", p)
-
-    @property
-    def m(self) -> int:
-        return len(self.p)
 
 
 def check_capacity(m: int) -> int:
@@ -97,26 +32,11 @@ def check_capacity(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_permutations(m: int) -> tuple[Permutation, ...]:
-    """All m! orderings of 1..m in lexicographic order.
-
-    Deterministic and cached; the returned tuple (and its elements) are
-    immutable, so sharing across threads is safe.
-    """
-    check_capacity(m)
-    return tuple(
-        Permutation(order) for order in itertools.permutations(range(1, m + 1))
-    )
-
-
-@lru_cache(maxsize=None)
 def order_array(m: int) -> np.ndarray:
     """All m! orderings of 1..m as a read-only (m!, m) ``int8`` array.
 
-    Rows are in the lexicographic order of :func:`enumerate_permutations`,
-    so row i is ``enumerate_permutations(m)[i].order``.  Cached; code that
-    only needs the orders (model matrices, the search pool) indexes this
-    instead of building m! :class:`Permutation` objects.  One byte per entry
+    Rows are in lexicographic order, so row i is the order of
+    ``adaptors.enumerate_permutations(m)[i]``.  Cached.  One byte per entry
     holds m <= 8 (0.3 MB at m = 8): cast to a wider type before multiplying
     or summing entries.
     """
@@ -155,13 +75,5 @@ def ascending_tail_orders(m: int, tail: int) -> np.ndarray:
     return orders
 
 
-def standardize(perm: Permutation) -> StdPositions:
-    """Map a run to its standardized positions p_c = 2 q_c / (m (m + 1))."""
-    m = perm.m
-    scale = 2.0 / (m * (m + 1))
-    return StdPositions(tuple(q * scale for q in perm.positions()))
-
-
-def as_permutations(orders: np.ndarray) -> tuple[Permutation, ...]:
-    """The rows of an (n, m) order array as :class:`Permutation` objects."""
-    return tuple(map(Permutation, orders.tolist()))
+__getattr__ = _forward(globals(), {"adaptors": (
+    "Permutation", "StdPositions", "as_permutations", "enumerate_permutations", "standardize")})

@@ -9,16 +9,19 @@ so ranks are always a permutation of 1..m!.
 from __future__ import annotations
 
 from math import factorial
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import models
 from .errors import EstimabilityError, ValidationError
 from .fitting import FitResult
-from .models import model_rows, position_blocks, split_start
-from .perms import Permutation, as_permutations, order_array
+from .models import _positions, model_rows, split_start
+from .perms import order_array
 from .records import Record
+
+if TYPE_CHECKING:
+    from .adaptors import Permutation
 
 
 class PredictionTable(Record):
@@ -47,6 +50,8 @@ class PredictionTable(Record):
     @property
     def perms(self) -> tuple[Permutation, ...]:
         """The row orders as :class:`Permutation` objects (built on each access)."""
+        from .adaptors import as_permutations
+
         return as_permutations(self.orders)
 
     def take(self, rows) -> "PredictionTable":
@@ -81,6 +86,13 @@ def rank_descending(estimates: np.ndarray, out: np.ndarray | None = None,
 #: depended on where the walk cut its blocks.  Every product takes this many
 #: orders, the last ones padded with zeros, so no result depends on the cut.
 PRODUCT_ROWS = 1024
+
+#: Orders per unit of a walk that ``models.split_start`` may cut in two
+#: (:func:`walk_orders`).  A walk forks from four units on, so at 4,096
+#: orders, the walk's block size when that rule was set, m = 8 (40,320
+#: orders) forks and m = 7 (5,040) does not.  A multiple of
+#: ``models.BLOCK_ROWS``, so the cut falls between two blocks of the walk.
+WALK_SPLIT_ROWS = 4096
 
 
 def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,12 +131,27 @@ def predict_rows(fit: FitResult, model_rows: np.ndarray) -> tuple[np.ndarray, np
     return est, var
 
 
+def position_blocks(m: int, start: int = 0, stop: int | None = None
+                    ) -> Iterator[tuple[slice, np.ndarray]]:
+    """The positions q_c of all m! orders, ``models.BLOCK_ROWS`` orders at a
+    time, as (rows, q) pairs: ``rows`` is a slice of consecutive rows of
+    :func:`~oofa.perms.order_array` and ``q`` holds the positions of those
+    orders, computed from them alone, so no m!-row position array is ever
+    kept.  The blocks come in ascending order and tile the orders once;
+    given ``start`` (a multiple of the block size) and ``stop``, only the
+    blocks that begin in rows start..stop come.
+    """
+    for begin in range(start, factorial(m) if stop is None else stop, models.BLOCK_ROWS):
+        rows = slice(begin, begin + models.BLOCK_ROWS)
+        yield rows, _positions(order_array(m)[rows])
+
+
 def predict_factorial(
     fits: Sequence[FitResult], start: int = 0, stop: int | None = None,
 ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """:func:`predict_rows` of each of K fits of one m at every one of the m!
     orders, as (rows, est, var) per block of
-    :func:`~oofa.models.position_blocks` ``(m, start, stop)``: ``est`` and
+    :func:`position_blocks` ``(m, start, stop)``: ``est`` and
     ``var`` are (K, b) and hold the predictions at the b orders of rows
     ``rows`` of :func:`~oofa.perms.order_array`.  The orders are walked once;
     each block's positions serve every fit, and only one block of model rows
@@ -139,14 +166,14 @@ def walk_orders(m: int, fill: Callable, shapes: Sequence[tuple], fork: bool = Fa
                 ) -> list[np.ndarray]:
     """One float array of shape ``(*shape, m!)`` per shape in ``shapes``,
     filled by ``fill(arrays, start, stop)``, which fills rows start..stop of
-    each from :func:`~oofa.models.position_blocks` ``(m, start, stop)``.
+    each from :func:`position_blocks` ``(m, start, stop)``.
     With ``fork``, a forked child process may fill the second half: see
     :mod:`oofa.split`.  Only a walk that predicts several models asks for
     it: one model's m = 8 walk takes about 20 ms, too little to repay the
     fork and the copy-on-write faults that follow it.
     """
     n = factorial(m)
-    start = split_start(n, models.WALK_SPLIT_ROWS) if fork else None
+    start = split_start(n, WALK_SPLIT_ROWS) if fork else None
     if start is not None:
         from .split import walk
 

@@ -36,14 +36,7 @@ from math import factorial
 
 import numpy as np
 
-from .criteria import (
-    CompoundSpec,
-    CriterionKind,
-    MemberRows,
-    criterion_values,
-    member_rows,
-    oriented_value,
-)
+from .criteria import CompoundSpec, CriterionKind, MemberRows, criterion_values, member_rows
 from .design import Design
 from .errors import SearchFailureError, ValidationError
 from .models import full_factorial_matrix
@@ -70,6 +63,12 @@ _DELTA_TOL = 1e-9
 #: exactly together, so near-ties are broken by exact values, as a full exact
 #: sweep would break them.
 _TIE_RTOL = 1e-8
+
+
+def oriented_value(kind: CriterionKind, value: float | np.ndarray) -> float | np.ndarray:
+    """Map criterion values so that smaller is always better; 1/D is finite
+    because the kernel rejects an estimable D below the smallest normal float."""
+    return 1.0 / value if kind is CriterionKind.D_OPT else value
 
 
 class SearchConfig(ValueRecord):

@@ -2,7 +2,7 @@
 
 A request run by ``cli.run`` owns its whole process, so it may fork.  A
 walk of the m! orders (:func:`walk`) of at least four
-:data:`~oofa.models.WALK_SPLIT_ROWS`-order units, or a table
+:data:`~oofa.ranking.WALK_SPLIT_ROWS`-order units, or a table
 (:func:`write`) of at least four blocks, is cut at the boundary nearest its
 middle (:func:`~oofa.models.split_start`): a forked child does the second half
 while this process does the first.  The child starts on a CPU other than

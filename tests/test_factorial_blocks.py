@@ -5,10 +5,10 @@ Predictions and model averages walk the m! orders in blocks of
 matrix with ``full_factorial_matrix``.  The blocked results must match the
 whole-matrix ones bit for bit at any block size.  The moments are summed
 over a symmetry-reduced set of orders instead (``models.moment_orders``),
-in blocks of ``criteria.MOMENT_BLOCK_ROWS`` orders; they must match the
-whole matrix up to rounding, and equal the correctly rounded exact value
-wherever the rows scale to integers (every family but tpwo with the geom
-taper).
+in blocks of ``models.BLOCK_ROWS`` orders (``criteria.MOMENT_BLOCK_ROWS``
+for tpwo with the geom taper); they must match the whole matrix up to
+rounding, and equal the correctly rounded exact value wherever the rows
+scale to integers (every family but tpwo with the geom taper).
 """
 
 import itertools
@@ -37,6 +37,7 @@ from oofa import (
     standardize,
 )
 from oofa.cli import main
+from oofa.models import TaperKind
 from oofa.perms import order_array
 
 ALL_LABELS = ["pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear",
@@ -214,11 +215,14 @@ def test_integer_gram_is_exact(label, m):
 @pytest.mark.parametrize("m", range(2, 9))
 def test_factorial_moments_do_not_depend_on_the_block_size(m, monkeypatch):
     """Bit for bit: every row sum is exact (integer rows, or the dyadic taper
-    of geom=0.5), so no split of the order set can move a bit.  At the
-    default size the rs3 and rs3s sums at m = 8 span several blocks."""
+    of geom=0.5), so no split of the order set can move a bit, and the
+    integer-row families' moments are the same in the walk's 1,024-order
+    blocks as in 4,096-order ones.  At the default sizes every m = 8 sum but
+    cp's and tpwo:geom's spans several blocks."""
     for spec in _specs(m):
         plain, centered, _ = _fresh_moments(spec, m)
-        for size in _block_sizes(m):
+        for size in [*_block_sizes(m), 1024, 4096]:
+            monkeypatch.setattr(models, "BLOCK_ROWS", size)
             monkeypatch.setattr(criteria, "MOMENT_BLOCK_ROWS", size)
             other_plain, other_centered, _ = _fresh_moments(spec, m)
             assert np.array_equal(other_plain, plain), (spec.label, size)
@@ -273,18 +277,22 @@ def test_factorial_moments_build_a_symmetry_reduced_order_set(m, monkeypatch):
 
 @pytest.mark.parametrize("size", [1, 7, 4096])
 def test_factorial_moments_build_rows_block_rows_at_a_time(size, monkeypatch):
-    """A patched criteria.MOMENT_BLOCK_ROWS reaches factorial_moments: each
-    model-row call builds at most that many rows, and the calls cover the
-    order set."""
-    monkeypatch.setattr(criteria, "MOMENT_BLOCK_ROWS", size)
+    """A patched models.BLOCK_ROWS reaches factorial_moments for the
+    integer-row families, and a patched criteria.MOMENT_BLOCK_ROWS for
+    tpwo:geom: each model-row call builds at most that many rows, and the
+    calls cover the order set."""
+    geom_size = 2 * size + 1
+    monkeypatch.setattr(models, "BLOCK_ROWS", size)
+    monkeypatch.setattr(criteria, "MOMENT_BLOCK_ROWS", geom_size)
     built = _count_rows(monkeypatch)
     for m in (5, 8) if size > 1 else (5,):
         for spec in _specs(m):
             built.clear()
             _fresh_moments(spec, m)
             n = len(models.moment_orders(spec, m).positions)
+            rows = geom_size if spec.taper and spec.taper.kind is TaperKind.GEOMETRIC else size
             assert sum(built) == n, spec.label
-            assert built == [size] * (n // size) + ([n % size] if n % size else []), spec.label
+            assert built == [rows] * (n // rows) + ([n % rows] if n % rows else []), spec.label
 
 
 @pytest.mark.parametrize("m", range(2, 9))

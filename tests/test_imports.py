@@ -35,22 +35,25 @@ EXPORTED = {
 
 #: Submodules every command loads: what reading or writing a table needs.
 BASE = {"cli", "errors", "records", "perms", "design", "models", "dataio"}
-FIT = BASE | {"fitting"}
+#: The commands on design files, and on datasets and fits, with their handlers.
+DESIGNS = BASE | {"designcmds"}
+FIT = BASE | {"datacmds", "fitting"}
 
 #: (argv, the ``oofa.*`` submodules the command loads and no others); ``{data}``
 #: is ``tests/data`` and ``{tmp}`` a scratch directory holding ``pwo.json``.
 COMMANDS = {
-    "enumerate": (["enumerate", "--m", "4"], BASE),
-    "matrix": (["matrix", "--model", "cp", "--design", "{data}/m4_n24_block.csv"], BASE),
+    "enumerate": (["enumerate", "--m", "4"], DESIGNS),
+    "matrix": (["matrix", "--model", "cp", "--design", "{data}/m4_n24_block.csv"], DESIGNS),
     "criteria": (["criteria", "--design", "{data}/m4_n24_block.csv", "--models", "pwo,cp",
-                  "--criterion", "apv"], BASE | {"criteria"}),
+                  "--criterion", "apv"], DESIGNS | {"criteria"}),
     "design": (["design", "--m", "4", "--runs", "12", "--models", "pwo", "--restarts", "1",
-                "--max-passes", "1", "--out", "{tmp}/d4.csv"], BASE | {"criteria", "search"}),
+                "--max-passes", "1", "--out", "{tmp}/d4.csv"],
+               DESIGNS | {"criteria", "search", "jsonio"}),
     "fit": (["fit", "--model", "pwo", "--data", "{data}/m3_runs.csv", "--out", "{tmp}/fit.json"],
-            FIT),
+            FIT | {"jsonio"}),
     "surface": (["surface", "--data", "{data}/m3_runs.csv", "--grid", "3"],
                 FIT | {"ranking"}),
-    "predict": (["predict", "--fit", "{tmp}/pwo.json"], FIT | {"ranking"}),
+    "predict": (["predict", "--fit", "{tmp}/pwo.json"], FIT | {"ranking", "jsonio"}),
     "average": (["average", "--data", "{data}/m4_n24_block.csv", "--models", "pwo,cp"],
                 FIT | {"ranking", "averaging"}),
 }
@@ -126,8 +129,66 @@ def test_a_table_that_splits_loads_split():
     """The 5,040-row table is five blocks long, so with ``fork`` it is split;
     without, it is not."""
     argv = ["enumerate", "--m", "7"]
-    assert _loaded_modules(argv, True) == {"oofa"} | {f"oofa.{name}" for name in BASE | {"split"}}
-    assert _loaded_modules(argv, False) == {"oofa"} | {f"oofa.{name}" for name in BASE}
+    expected = {"oofa"} | {f"oofa.{name}" for name in DESIGNS}
+    assert _loaded_modules(argv, True) == expected | {"oofa.split"}
+    assert _loaded_modules(argv, False) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_no_command_loads_the_adaptors(command, data_dir, tmp_path, capsys):
+    """Not even for JSON output, which loads ``oofa.jsonio`` and nothing else
+    more: the adaptors serve callers that want objects, and no command does."""
+    argv = _command_argv(command, data_dir, tmp_path, capsys)
+    if command not in ("fit", "design"):
+        argv += ["--format", "json"]
+    loaded = _loaded_modules(argv, False)
+    assert "oofa.adaptors" not in loaded
+    assert loaded == {"oofa", "oofa.jsonio"} | {f"oofa.{name}" for name in COMMANDS[command][1]}
+
+
+#: Runs ``cli.main`` on the argv after ``sys.argv[0]`` and prints the exit code
+#: and whether ``json`` was imported; imports nothing beyond the request's own.
+JSON_PROBE = """
+import contextlib, os, sys
+from oofa.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, fmt, loads_json", [
+    ("enumerate", "csv", False), ("matrix", "csv", False), ("criteria", "csv", False),
+    ("average", "csv", False), ("enumerate", "json", True),
+])
+def test_csv_requests_load_no_json(command, fmt, loads_json, data_dir, tmp_path, capsys):
+    """``json`` is imported only by ``oofa.jsonio`` and where ``predict`` reads
+    its fit file; a JSON table, the last case, shows that the probe sees it."""
+    argv = _command_argv(command, data_dir, tmp_path, capsys) + ["--format", fmt]
+    done = subprocess.run([sys.executable, "-c", JSON_PROBE, *argv], env=_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", str(loads_json)]
+
+
+#: Bytes of ``oofa`` source each command loads, the ``.py`` file of every
+#: package module it imports, as pinned when the command handlers, the JSON
+#: I/O and the adaptors left the modules every command loads.  Each request
+#: compiles all of it (the benchmark runs from source, with no bytecode
+#: cache), so the sources a command loads may shrink but not grow.
+SOURCE_BYTES = {
+    "enumerate": 65127, "matrix": 65127, "criteria": 79521, "design": 102583,
+    "fit": 83673, "surface": 85033, "predict": 92649, "average": 92190,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_loads_at_most_its_source_bytes(command, data_dir, tmp_path, capsys):
+    argv = _command_argv(command, data_dir, tmp_path, capsys)
+    package = Path(oofa.__file__).parent
+    files = [package / ("__init__.py" if name == "oofa" else f"{name.split('.')[1]}.py")
+             for name in _loaded_modules(argv, False)]
+    assert sum(path.stat().st_size for path in files) <= SOURCE_BYTES[command]
 
 
 def test_every_subcommand_is_probed():

@@ -1,4 +1,5 @@
-"""Traced memory of the requests that rank all m! orders, at m = 8.
+"""Traced memory of the requests that rank all m! orders, at m = 8, and of
+the moments a ``criteria`` request sums.
 
 ``predict`` and ``average`` walk the 40,320 orders block by block: they may
 hold a few m!-long result vectors and one block of model rows or table
@@ -24,6 +25,10 @@ MODELS = "pwo,tpwo:invh,cp,rs2,nn"
 #: table output alone would take more.
 AVERAGE_MB = 10.0
 PREDICT_MB = 8.0
+#: Bound in MB on an m = 8 ``criteria`` request, whose peak is its moments: it
+#: peaked at 1.58 MB with every family summed in 4,096-order blocks, and at
+#: 1.20 MB with the integer-row families summed in the walk's 1,024-order ones.
+CRITERIA_MB = 1.4
 
 
 def _clear_caches() -> None:
@@ -87,3 +92,9 @@ def test_predict_holds_no_m_factorial_sized_state(m8_files, fmt):
     peak = _peak_mb(argv, m8_files["out"])
     assert _rows_written(m8_files["out"], fmt) == 40320
     assert peak <= PREDICT_MB, f"predict --format {fmt} peaked at {peak:.1f} MB"
+
+
+def test_criteria_moments_are_summed_in_walk_sized_blocks(m8_files):
+    argv = ["criteria", "--design", m8_files["data"], "--models", MODELS, "--criterion", "apv"]
+    peak = _peak_mb(argv, m8_files["out"])
+    assert peak <= CRITERIA_MB, f"criteria peaked at {peak:.2f} MB"

@@ -38,8 +38,8 @@ from oofa.records import Record
 
 #: "module.Class" -> its fields in order; "=" marks a default, read as a Python literal.
 FIELDS = {
-    "perms.Permutation": ("order",),
-    "perms.StdPositions": ("p",),
+    "adaptors.Permutation": ("order",),
+    "adaptors.StdPositions": ("p",),
     "design.Design": ("orders", "block=None", "labels=None"),
     "design.Dataset": ("design", "response"),
     "models.Taper": ("kind", "ratio=None"),
