@@ -42,7 +42,7 @@ class Permutation(ValueRecord):
             raise ValidationError("a permutation needs at least one component")
         if sorted(order) != list(range(1, m + 1)):
             raise ValidationError(f"order {order!r} is not a permutation of 1..{m}")
-        object.__setattr__(self, "order", order)
+        self._set(order)
 
     @property
     def m(self) -> int:
@@ -68,7 +68,7 @@ class StdPositions(Record):
     __slots__ = ("p",)
 
     def __init__(self, p: tuple[float, ...]) -> None:
-        object.__setattr__(self, "p", p)
+        self._set(p)
 
     @property
     def m(self) -> int:

@@ -89,8 +89,7 @@ class CandidateSet(Record):
                     f"model {fit.spec.label} has no dispersion estimate "
                     "(saturated fit) and cannot enter model averaging"
                 )
-        object.__setattr__(self, "fits", fits)
-        object.__setattr__(self, "weights", weights)
+        self._set(fits, weights)
 
     @classmethod
     def from_akaike(cls, fits) -> "CandidateSet":
@@ -115,16 +114,7 @@ class AveragedPrediction(Record):
     def __init__(self, orders: np.ndarray, estimates: np.ndarray, variances: np.ndarray,
                  std_errors: np.ndarray, ranks: np.ndarray, model_estimates: np.ndarray,
                  model_ranks: np.ndarray) -> None:
-        for arr in (orders, estimates, variances, std_errors, ranks, model_estimates,
-                    model_ranks):
-            arr.setflags(write=False)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "estimates", estimates)
-        object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "std_errors", std_errors)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "model_estimates", model_estimates)
-        object.__setattr__(self, "model_ranks", model_ranks)
+        self._set(orders, estimates, variances, std_errors, ranks, model_estimates, model_ranks)
 
     def __len__(self) -> int:
         return len(self.orders)

@@ -196,12 +196,12 @@ def run(argv=None) -> NoReturn:
     os._exit(code)
 
 
-#: Each command's handler, ``_cmd_<command>``, and its helpers, by module.
+#: Each command's handler, ``_cmd_<command>``, by module.
 __getattr__ = _forward(globals(), {
-    "designcmds": ("_cmd_criteria", "_cmd_design", "_cmd_enumerate", "_cmd_matrix",
-                   "_load_design"),
-    "datacmds": ("MAX_GRID", "_apply_block", "_check_top", "_cmd_average", "_cmd_fit",
-                 "_cmd_predict", "_cmd_surface", "_load_dataset", "_weighted_candidates")})
+    "designcmds": ("_cmd_criteria", "_cmd_design", "_cmd_enumerate", "_cmd_matrix"),
+    "datacmds": ("_cmd_average", "_cmd_fit", "_cmd_predict", "_cmd_surface")})
 
 if __name__ == "__main__":
+    # The handler modules import this module as oofa.cli: one copy, not two.
+    sys.modules["oofa.cli"] = sys.modules[__name__]
     run()

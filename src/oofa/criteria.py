@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _forward, models
+from . import models
 from .design import RANK_RTOL, Design, check_weights
 from .errors import EstimabilityError, ValidationError
 from .models import ModelSpec, moment_orders, order_matrix
@@ -72,18 +72,14 @@ class CriterionSpec(ValueRecord):
                  orthogonal_coding: bool = False) -> None:
         if not (math.isfinite(sigma2) and sigma2 > 0):
             raise ValidationError(f"sigma2 must be finite and positive, got {sigma2!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "sigma2", sigma2)
-        object.__setattr__(self, "orthogonal_coding", orthogonal_coding)
+        self._set(kind, sigma2, orthogonal_coding)
 
 
 class CompoundMember(ValueRecord):
     __slots__ = ("model", "criterion", "weight")
 
     def __init__(self, model: ModelSpec, criterion: CriterionSpec, weight: float) -> None:
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "weight", weight)
+        self._set(model, criterion, weight)
 
 
 class CompoundSpec(ValueRecord):
@@ -95,7 +91,7 @@ class CompoundSpec(ValueRecord):
         if not members:
             raise ValidationError("a compound criterion needs at least one member")
         check_weights([mem.weight for mem in members], "compound")
-        object.__setattr__(self, "members", members)
+        self._set(members)
 
     @classmethod
     def single(cls, model: ModelSpec, criterion: CriterionSpec) -> "CompoundSpec":
@@ -131,10 +127,7 @@ class MemberRows(Record):
 
     def __init__(self, criterion: CriterionSpec, moment: np.ndarray | None, scale: float,
                  coding: OrthogonalCoding | None = None) -> None:
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "moment", moment)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "coding", coding)
+        self._set(criterion, moment, scale, coding)
 
     def code(self, x: np.ndarray) -> np.ndarray:
         return x if self.coding is None else self.coding.apply(x)
@@ -267,13 +260,7 @@ class OrthogonalCoding(Record):
 
     def __init__(self, spec: ModelSpec, m: int, w: int, r: np.ndarray,
                  _r_inv_scaled: np.ndarray) -> None:
-        r.setflags(write=False)
-        _r_inv_scaled.setflags(write=False)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "_r_inv_scaled", _r_inv_scaled)
+        self._set(spec, m, w, r, _r_inv_scaled)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
         """Transform covariate rows into the orthogonal coding."""
@@ -312,7 +299,6 @@ def member_rows(model: ModelSpec, criterion: CriterionSpec, m: int) -> MemberRow
         moment, scale = plain, sigma2 / w
     if coding is not None:  # the coded rows are x T, so their moment is T^T C T
         moment = coding.apply(coding.apply(moment).T)
-        moment.setflags(write=False)
     return MemberRows(criterion, moment, scale, coding)
 
 
@@ -321,9 +307,3 @@ def criterion_value(model: ModelSpec, criterion: CriterionSpec, design: Design) 
     rows = member_rows(model, criterion, design.m)
     x = rows.code(order_matrix(model, design.orders).values)
     return _single_value(x, rows, f"model {model.label} on this {design.n}-run design")
-
-
-__getattr__ = _forward(globals(), {
-    "adaptors": ("a_criterion", "a_from_matrix", "apv", "apv_from_matrices", "av",
-                 "av_from_matrices", "compound", "d_criterion", "d_from_matrix"),
-    "search": ("oriented_value",)})

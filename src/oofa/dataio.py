@@ -142,8 +142,7 @@ class LabelColumn(Record):
     __slots__ = ("labels", "codes")
 
     def __init__(self, labels: Sequence, codes: np.ndarray) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "codes", codes)
+        self._set(labels, codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -168,8 +167,7 @@ class OrderColumn(Record):
     __slots__ = ("labels", "orders")
 
     def __init__(self, labels: Sequence[str], orders: np.ndarray) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "orders", orders)
+        self._set(labels, orders)
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -302,7 +300,5 @@ _CSV_CELLS = {
 _TEMPLATE_CELLS = {**_CSV_CELLS, "f": _as_is, "i": _as_is}
 
 
-__getattr__ = _forward(globals(), {
-    "jsonio": ("COEF_RTOL", "_DATA_FIELDS", "_json_field", "fit_from_dict", "fit_to_dict",
-               "to_json"),
-    "adaptors": ("_columns", "table_to_csv", "table_to_json")})
+__getattr__ = _forward(globals(), {"jsonio": ("fit_from_dict", "fit_to_dict", "to_json"),
+                                   "adaptors": ("table_to_csv", "table_to_json")})

@@ -45,9 +45,7 @@ class Design(Record):
             raise ValidationError(f"{len(block)} block labels for {len(orders)} runs")
         if labels is not None:
             check_labels(labels, orders.shape[1], "component labels")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "labels", labels)
+        self._set(orders, block, labels)
 
     @classmethod
     def from_orders(cls, orders, block=None, labels=None) -> "Design":
@@ -116,9 +114,7 @@ class Dataset(Record):
             raise ValidationError(f"{len(y)} responses for {design.n} runs")
         if not np.all(np.isfinite(y)):
             raise ValidationError("responses must all be finite")
-        y.setflags(write=False)
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "response", y)
+        self._set(design, y)
 
     @property
     def n(self) -> int:

@@ -48,23 +48,8 @@ class FitResult(Record):
                  sigma2_hat: float | None, rmse: float | None, log_lik: float | None,
                  aic: float | None, bic: float | None, xtx_inv: np.ndarray,
                  n_block_cols: int) -> None:
-        coefficients.setflags(write=False)
-        xtx_inv.setflags(write=False)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "term_labels", term_labels)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "rss", rss)
-        object.__setattr__(self, "df_error", df_error)
-        object.__setattr__(self, "p_effective", p_effective)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "sigma2_hat", sigma2_hat)
-        object.__setattr__(self, "rmse", rmse)
-        object.__setattr__(self, "log_lik", log_lik)
-        object.__setattr__(self, "aic", aic)
-        object.__setattr__(self, "bic", bic)
-        object.__setattr__(self, "xtx_inv", xtx_inv)
-        object.__setattr__(self, "n_block_cols", n_block_cols)
+        self._set(spec, data, term_labels, coefficients, rss, df_error, p_effective, n, sigma2_hat,
+                  rmse, log_lik, aic, bic, xtx_inv, n_block_cols)
 
     @property
     def m(self) -> int:

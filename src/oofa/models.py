@@ -107,8 +107,7 @@ class Taper(ValueRecord):
                 )
         elif ratio is not None:
             raise ValidationError(f"taper {kind.value} takes no ratio")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "ratio", ratio)
+        self._set(kind, ratio)
 
     @property
     def label(self) -> str:
@@ -127,8 +126,7 @@ class ModelSpec(ValueRecord):
             raise ValidationError("tpwo needs a taper: invh, geom=<ratio>, or linear")
         if family is not Family.TPWO and taper is not None:
             raise ValidationError(f"{family.value} takes no taper")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "taper", taper)
+        self._set(family, taper)
 
     @property
     def include_intercept(self) -> bool:
@@ -152,11 +150,7 @@ class DesignMatrix(Record):
 
     def __init__(self, values: np.ndarray, term_labels: tuple[str, ...], m: int,
                  spec: ModelSpec) -> None:
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "term_labels", term_labels)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "spec", spec)
+        self._set(values, term_labels, m, spec)
 
     @property
     def n(self) -> int:
@@ -413,10 +407,7 @@ class MomentOrders(Record):
 
     def __init__(self, positions: np.ndarray, canonical: np.ndarray, repeats: int,
                  divisor: np.ndarray) -> None:
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "repeats", repeats)
-        object.__setattr__(self, "divisor", divisor)
+        self._set(positions, canonical, repeats, divisor)
 
 
 def moment_orders(spec: ModelSpec, m: int) -> MomentOrders:
@@ -518,5 +509,4 @@ def full_factorial_matrix(spec: ModelSpec, m: int) -> DesignMatrix:
     return order_matrix(spec, order_array(m))
 
 
-__getattr__ = _forward(globals(), {"adaptors": ("build_matrix", "pwo_to_ltpwo_maps"),
-                                   "ranking": ("WALK_SPLIT_ROWS", "position_blocks")})
+__getattr__ = _forward(globals(), {"adaptors": ("build_matrix",)})

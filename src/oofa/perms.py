@@ -75,5 +75,4 @@ def ascending_tail_orders(m: int, tail: int) -> np.ndarray:
     return orders
 
 
-__getattr__ = _forward(globals(), {"adaptors": (
-    "Permutation", "StdPositions", "as_permutations", "enumerate_permutations", "standardize")})
+__getattr__ = _forward(globals(), {"adaptors": ("enumerate_permutations",)})

@@ -37,12 +37,7 @@ class PredictionTable(Record):
 
     def __init__(self, orders: np.ndarray, estimates: np.ndarray, std_errors: np.ndarray,
                  ranks: np.ndarray) -> None:
-        for arr in (orders, estimates, std_errors, ranks):
-            arr.setflags(write=False)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "estimates", estimates)
-        object.__setattr__(self, "std_errors", std_errors)
-        object.__setattr__(self, "ranks", ranks)
+        self._set(orders, estimates, std_errors, ranks)
 
     def __len__(self) -> int:
         return len(self.orders)

@@ -1,14 +1,18 @@
 """The base of the package's records: immutable classes with fixed fields.
 
 A record is a plain class whose ``__slots__`` name its fields in order and
-whose ``__init__`` checks them and stores them with ``object.__setattr__``.
-Setting or deleting an attribute afterwards raises AttributeError, and there
-is no instance ``__dict__``.  A :class:`Record` compares and hashes by
-identity, as the records holding arrays do; a :class:`ValueRecord` compares
-and hashes by its field values, so equal specs share cache entries.
+whose ``__init__`` checks them and stores them with one call of
+:meth:`Record._set`, the one place a field is written, which makes every
+array among them read-only.  Setting or deleting an attribute afterwards
+raises AttributeError, and there is no instance ``__dict__``.  A
+:class:`Record` compares and hashes by identity, as the records holding
+arrays do; a :class:`ValueRecord` compares and hashes by its field values,
+so equal specs share cache entries.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class Record:
@@ -17,6 +21,14 @@ class Record:
     __slots__ = ()
     #: Fields the repr leaves out.
     _unshown: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Store ``values`` into the fields, in ``__slots__`` order, and make
+        each array among them read-only (``setflags(write=False)``)."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

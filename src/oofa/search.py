@@ -92,12 +92,7 @@ class SearchConfig(ValueRecord):
             raise ValidationError(
                 f"{n_runs} runs cannot estimate a model with {p_max} parameters; increase n_runs"
             )
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n_runs", n_runs)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "restarts", restarts)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "max_passes", max_passes)
+        self._set(m, n_runs, objective, restarts, seed, max_passes)
 
 
 class SearchResult(Record):
@@ -106,12 +101,7 @@ class SearchResult(Record):
 
     def __init__(self, design: Design, objective: float, member_values: tuple[float, ...],
                  objective_trace: tuple[float, ...], restart: int, config: SearchConfig) -> None:
-        object.__setattr__(self, "design", design)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "member_values", member_values)
-        object.__setattr__(self, "objective_trace", objective_trace)
-        object.__setattr__(self, "restart", restart)
-        object.__setattr__(self, "config", config)
+        self._set(design, objective, member_values, objective_trace, restart, config)
 
     @property
     def seed(self) -> int:

@@ -38,8 +38,8 @@ from oofa import (
     pwo_to_ltpwo_maps,
     standardize,
 )
+from oofa.adaptors import apv_from_matrices, av_from_matrices
 from oofa.cli import main
-from oofa.criteria import apv_from_matrices, av_from_matrices
 from oofa.search import random_design
 
 FIVE_FAMILIES = ("pwo", "tpwo:invh", "cp", "rs2", "nn")

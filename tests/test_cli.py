@@ -14,7 +14,8 @@ import pytest
 
 import oofa
 from oofa import Design, enumerate_permutations, parse_model, read_design, write_design
-from oofa.cli import MAX_GRID, build_parser, main
+from oofa.cli import build_parser, main
+from oofa.datacmds import MAX_GRID
 from oofa.dataio import fit_from_dict, fit_to_dict, to_json
 from oofa.search import MAX_RUNS
 

@@ -30,14 +30,9 @@ from oofa import (
     parse_model,
     write_design,
 )
-from oofa.criteria import (
-    a_from_matrix,
-    apv_from_matrices,
-    av_from_matrices,
-    d_from_matrix,
-    factorial_moments,
-)
+from oofa.adaptors import a_from_matrix, apv_from_matrices, av_from_matrices, d_from_matrix
 from oofa.cli import main
+from oofa.criteria import factorial_moments
 from oofa.perms import order_array
 from oofa.search import random_design
 

@@ -34,6 +34,7 @@ from oofa import (
     predict_all,
     predict_rows,
     rank_descending,
+    ranking,
     standardize,
 )
 from oofa.cli import main
@@ -128,7 +129,7 @@ def test_blocks_tile_the_full_factorial(m, monkeypatch):
     for size in (1, 7, 4096, w):
         monkeypatch.setattr(models, "BLOCK_ROWS", size)
         start = 0
-        for rows, block in models.position_blocks(m):
+        for rows, block in ranking.position_blocks(m):
             assert (rows.start, rows.step) == (start, None)
             assert np.array_equal(block, q[rows]) and 0 < len(block) <= size
             start += len(block)
@@ -323,6 +324,22 @@ def test_moment_rows_are_integers_where_a_divisor_is_given(label):
         assert np.all(orders.divisor == 1)
     xf = _whole(spec, m)
     assert _frobenius_rel((rows.T @ rows) / orders.divisor, xf.T @ xf) <= 1e-14
+
+
+def test_moment_orders_cannot_be_written_into():
+    """``canonical`` is the cached ``_canonical_pairs`` table: a write into
+    it would change every later moment computed from it."""
+    spec = parse_model("pwo")
+    orders = models.moment_orders(spec, 4)
+    try:
+        with pytest.raises(ValueError, match="read-only"):
+            orders.canonical[0, 0] = orders.canonical[0, 1]
+        criteria.factorial_moments.cache_clear()
+        plain, _, w = criteria.factorial_moments(spec, 4)
+        assert plain[0, 0] == w == 24.0
+    finally:
+        models._canonical_pairs.cache_clear()
+        criteria.factorial_moments.cache_clear()
 
 
 def test_canonical_pairs_refuse_a_too_small_k():

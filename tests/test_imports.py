@@ -172,13 +172,13 @@ def test_csv_requests_load_no_json(command, fmt, loads_json, data_dir, tmp_path,
 
 
 #: Bytes of ``oofa`` source each command loads, the ``.py`` file of every
-#: package module it imports, as pinned when the command handlers, the JSON
-#: I/O and the adaptors left the modules every command loads.  Each request
-#: compiles all of it (the benchmark runs from source, with no bytecode
-#: cache), so the sources a command loads may shrink but not grow.
+#: package module it imports, as pinned when every record came to store its
+#: fields through ``Record._set``.  Each request compiles all of it (the
+#: benchmark runs from source, with no bytecode cache), so the sources a
+#: command loads may shrink but not grow.
 SOURCE_BYTES = {
-    "enumerate": 65127, "matrix": 65127, "criteria": 79521, "design": 102583,
-    "fit": 83673, "surface": 85033, "predict": 92649, "average": 92190,
+    "enumerate": 64561, "matrix": 64561, "criteria": 77991, "design": 100551,
+    "fit": 82407, "surface": 83510, "predict": 91126, "average": 90136,
 }
 
 
@@ -253,6 +253,22 @@ def test_python_m_oofa_matches_main_on_a_missing_design(tmp_path, capsys):
     argv = ["criteria", "--design", str(tmp_path / "missing.csv"), "--models", "pwo",
             "--criterion", "apv"]
     assert _assert_process_matches_main(argv, capsys) == 2
+
+
+def test_python_m_oofa_cli_compiles_cli_once():
+    """Run as ``python -m oofa.cli``, the module serves as the ``oofa.cli``
+    the handler modules import, so no second copy is imported, and the
+    request prints what ``python -m oofa`` prints."""
+    argv = ["enumerate", "--m", "3"]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "oofa.cli", *argv],
+                          env=_env(), capture_output=True)
+    plain = subprocess.run([sys.executable, "-m", "oofa", *argv], env=_env(),
+                           capture_output=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.decode().splitlines()
+                if line.startswith("import time:")]
+    assert "oofa.dataio" in imported and "oofa.cli" not in imported
+    assert done.returncode == plain.returncode == 0
+    assert done.stdout == plain.stdout
 
 
 def test_a_profiled_request_still_writes_its_profile(tmp_path):

@@ -19,7 +19,6 @@ from oofa import (
     write_design,
 )
 from oofa.dataio import (
-    COEF_RTOL,
     LabelColumn,
     fit_from_dict,
     fit_to_dict,
@@ -27,6 +26,7 @@ from oofa.dataio import (
     table_to_json,
     write_table,
 )
+from oofa.jsonio import COEF_RTOL
 
 
 def _read_text(text):

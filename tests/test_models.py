@@ -22,7 +22,8 @@ from oofa import (
     term_labels,
 )
 from oofa import models
-from oofa.models import pwo_to_ltpwo_maps, taper_value
+from oofa.adaptors import pwo_to_ltpwo_maps
+from oofa.models import taper_value
 from oofa.perms import order_array
 
 ALL_LABELS = ["pwo", "tpwo:invh", "tpwo:geom=0.5", "tpwo:linear",

@@ -153,6 +153,7 @@ def test_record_contract(home, samples):
             delattr(record, field)
     _assert_fields(record, fields, values)
     assert not hasattr(record, "__dict__")
+    assert not any(value.flags.writeable for value in values if isinstance(value, np.ndarray))
 
     if name in VALUE:
         assert by_position == by_keyword == record

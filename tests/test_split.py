@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 import oofa
-from oofa import Dataset, Design, build_matrix, models, parse_model, split, write_design
+from oofa import (Dataset, Design, build_matrix, models, parse_model, ranking, split,
+                  write_design)
 from oofa.cli import main
 from oofa.perms import order_array
 
@@ -88,7 +89,7 @@ cli.run(argv)
 #: (argv, children forked): at m = 8 the table forks once, and so does the
 #: prediction walk of two or more models; a single model's walk, a 100-row
 #: table and the m = 7 walk do not.  The walk forks from four units of
-#: models.WALK_SPLIT_ROWS = 4,096 orders on: m = 7's 5,040 orders are two.
+#: ranking.WALK_SPLIT_ROWS = 4,096 orders on: m = 7's 5,040 orders are two.
 REQUESTS = {
     "predict": (["predict", "--fit", "{pwo}"], 1),
     "predict-json": (["predict", "--fit", "{pwo}", "--format", "json"], 1),
@@ -178,7 +179,7 @@ def _error_lines(stderr):
 
 
 def test_a_walk_is_cut_between_two_of_its_blocks():
-    assert models.WALK_SPLIT_ROWS % models.BLOCK_ROWS == 0
+    assert ranking.WALK_SPLIT_ROWS % models.BLOCK_ROWS == 0
 
 
 @pytest.mark.parametrize("name", REQUESTS)

@@ -22,7 +22,8 @@ from oofa import (
     CandidateSet, Dataset, Design, average_predictions, ols_fit, parse_model, predict_all, top_k,
 )
 from oofa import dataio
-from oofa.cli import _weighted_candidates, main
+from oofa.cli import main
+from oofa.datacmds import _weighted_candidates
 from oofa.dataio import (
     LabelColumn, OrderColumn, fit_from_dict, read_design, table_to_csv, table_to_json,
     write_design, write_table,
